@@ -6,7 +6,16 @@
     BigCrush; statistical quality far exceeds what a cache simulator needs. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the 64-bit splitmix64 state stored unboxed in
+    an 8-byte buffer, so advancing it writes in place and never boxes an
+    [int64].  {!int}, {!int_in}, {!bool} and {!pick} (and {!bernoulli},
+    {!geometric}, {!shuffle}) return without touching the heap: every
+    [Random_in] data address is one {!int} draw, and the simulation's
+    address generation is allocation-free.  {!float}, {!exponential} and
+    {!bits64} still box their [float]/[int64] result when called from
+    another module: the compiler unboxes it only within an inlined body.
+    Generators returned by {!create}, {!copy}, {!split} and {!of_state}
+    never share storage with any other. *)
 
 val create : seed:int -> t
 (** [create ~seed] returns a fresh generator.  Equal seeds yield equal

@@ -109,6 +109,22 @@ let test_seed_sensitivity () =
   Alcotest.(check bool) "different seeds give different cycles" true
     (a.Run.cycles <> b.Run.cycles)
 
+(* The first allocation gate on a real run rather than a micro loop: a
+   whole compress x hotspot run, workload construction included, stays
+   under 0.1 minor words per simulated instruction.  With a boxed RNG
+   state every [Random_in] address cost a boxed int64 and the run sat
+   near 1 word/instr. *)
+let test_run_allocation_ceiling () =
+  Gc.full_major ();
+  let w0 = Gc.minor_words () in
+  let r = Run.run ~scale:0.1 compress Scheme.Hotspot in
+  let words = Gc.minor_words () -. w0 in
+  let per_instr = words /. float_of_int r.Run.instrs in
+  Printf.printf "compress/hotspot: %.0f minor words over %d instrs (%.4f/instr)\n" words
+    r.Run.instrs per_instr;
+  if per_instr >= 0.1 then
+    Alcotest.failf "compress/hotspot allocated %.4f minor words per instruction (>= 0.1)" per_instr
+
 (* --- experiments layer --- *)
 
 let ctx =
@@ -155,6 +171,7 @@ let suite =
     Tu.slow_case "do stats sane" test_do_stats_sane;
     Tu.slow_case "seed determinism" test_seed_determinism;
     Tu.slow_case "seed sensitivity" test_seed_sensitivity;
+    Tu.slow_case "run allocation ceiling" test_run_allocation_ceiling;
     Tu.case "static tables" test_static_tables;
     Tu.slow_case "experiment tables render" test_experiment_tables_render;
     Tu.slow_case "energy reduction accessors" test_energy_reduction_accessors;
