@@ -185,7 +185,8 @@ let obs_json path =
    emitted as BENCH_core.json.  The headline regression guards are
    [cache_access_minor_words] and [rng_int_minor_words]: the exception-free
    access path and the unboxed RNG draw must allocate zero minor words per
-   call. *)
+   call.  [snapshot_encode_minor_words] does the same for the snapshot
+   encoder, per encoded byte. *)
 let core_json path =
   let addrs = Array.init 65536 (fun _ -> 0) in
   let rng = Ace_util.Rng.create ~seed:7 in
@@ -303,6 +304,18 @@ let core_json path =
   let snapshot_decode_ns =
     time_loop snap_iters (fun () -> ignore (Ace_ckpt.Snapshot.decode snap_data))
   in
+  (* The encoder must allocate nothing per field or element: what is left
+     (buffer growth and the final copy) is large enough to go straight to
+     the major heap, so a minor-words reading per encoded byte near zero
+     means the per-field path stays unboxed. *)
+  let snapshot_encode_minor_words =
+    let w0 = Gc.minor_words () in
+    for _ = 1 to snap_iters do
+      ignore (Ace_ckpt.Snapshot.encode snap)
+    done;
+    (Gc.minor_words () -. w0)
+    /. float_of_int (snap_iters * String.length snap_data)
+  in
   (* The passthrough Io backend is a record of closures built once at
      module init: a call through it must allocate nothing beyond the
      syscall wrapper itself.  [exists] bottoms out in a C stub, so any
@@ -327,20 +340,21 @@ let core_json path =
      \"data_access_batch_ns\": %.3f, \"data_access_batch_minor_words\": %.6f, \
      \"pool_dispatch_ns_per_job\": %.1f, \"serve_codec_ns\": %.1f, \
      \"snapshot_encode_ns\": %.1f, \"snapshot_decode_ns\": %.1f, \
+     \"snapshot_encode_minor_words\": %.6f, \
      \"io_passthrough_minor_words\": %.6f, \
      \"iters\": %d}\n"
     rng_ns rng_words cache_ns cache_words data_ns data_words data_batch_ns data_batch_words
     pool_ns serve_codec_ns snapshot_encode_ns snapshot_decode_ns
-    io_passthrough_minor_words iters;
+    snapshot_encode_minor_words io_passthrough_minor_words iters;
   close_out oc;
   Printf.printf
     "wrote %s (rng int %.2f ns / %.4f minor words, cache access %.2f ns / \
      %.4f minor words, data access %.2f ns, \
      batched %.2f ns / %.4f minor words, pool dispatch %.0f ns/job, serve \
-     codec %.0f ns/req, snapshot encode %.0f ns / decode %.0f ns, io \
-     passthrough %.4f minor words)\n"
+     codec %.0f ns/req, snapshot encode %.0f ns / %.4f minor words per byte, \
+     decode %.0f ns, io passthrough %.4f minor words)\n"
     path rng_ns rng_words cache_ns cache_words data_ns data_batch_ns data_batch_words pool_ns
-    serve_codec_ns snapshot_encode_ns snapshot_decode_ns
+    serve_codec_ns snapshot_encode_ns snapshot_encode_minor_words snapshot_decode_ns
     io_passthrough_minor_words
 
 (* CI mode: wall-clock of a full vs sampled run on a long synthetic

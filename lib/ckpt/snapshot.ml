@@ -1,8 +1,6 @@
 module Codec = Ace_util.Codec
 module Crc32 = Ace_util.Crc32
 module Io = Ace_util.Io
-module Enc = Codec.Enc
-module Dec = Codec.Dec
 module Stats = Ace_util.Stats
 module Pattern = Ace_isa.Pattern
 module Cache = Ace_mem.Cache
@@ -73,1221 +71,624 @@ type t = {
   sample_state : Sample.state option;
 }
 
-(* {2 Payload encoders/decoders}
+(* {2 Payload codecs}
 
-   Every encoder has a decoder reading the exact same field order.  The
-   layout is the snapshot format: changing any of these (or the state types
-   they serialize) requires bumping {!version} below. *)
+   One codec per serialized state type: each record is its fields in
+   serialization order, and the encoder and decoder both follow that single
+   description.  The layout is the snapshot format: changing any of these
+   (or the state types they serialize) requires bumping {!version} below. *)
 
-let enc_running e (s : Stats.Running.state) =
-  Enc.int e s.Stats.Running.s_n;
-  Enc.f64 e s.Stats.Running.s_mean;
-  Enc.f64 e s.Stats.Running.s_m2;
-  Enc.f64 e s.Stats.Running.s_last
+module Payload () = struct
+  open Codec
 
-let dec_running d =
-  let s_n = Dec.int d in
-  let s_mean = Dec.f64 d in
-  let s_m2 = Dec.f64 d in
-  let s_last = Dec.f64 d in
-  { Stats.Running.s_n; s_mean; s_m2; s_last }
+  let running =
+    record (fun s_n s_mean s_m2 s_last -> { Stats.Running.s_n; s_mean; s_m2; s_last })
+    |+ (int, fun s -> s.Stats.Running.s_n)
+    |+ (f64, fun s -> s.s_mean)
+    |+ (f64, fun s -> s.s_m2)
+    |+ (f64, fun s -> s.s_last)
+    |> seal
 
-let enc_ema e (s : Stats.Ema.state) =
-  Enc.f64 e s.Stats.Ema.s_value;
-  Enc.bool e s.Stats.Ema.s_seeded
+  let ema =
+    record (fun s_value s_seeded -> { Stats.Ema.s_value; s_seeded })
+    |+ (f64, fun s -> s.Stats.Ema.s_value)
+    |+ (bool, fun s -> s.s_seeded)
+    |> seal
 
-let dec_ema d =
-  let s_value = Dec.f64 d in
-  let s_seeded = Dec.bool d in
-  { Stats.Ema.s_value; s_seeded }
+  let cursor =
+    record (fun s_offset s_steps -> { Pattern.s_offset; s_steps })
+    |+ (int, fun s -> s.Pattern.s_offset)
+    |+ (int, fun s -> s.s_steps)
+    |> seal
 
-let enc_cursor e (s : Pattern.cursor_state) =
-  Enc.int e s.Pattern.s_offset;
-  Enc.int e s.Pattern.s_steps
+  let cache =
+    record (fun s_size_bytes s_tags s_dirty s_stamp s_clock s_last_victim s_accesses
+        s_hits s_writebacks s_flush_writebacks s_resizes ->
+        { Cache.s_size_bytes; s_tags; s_dirty; s_stamp; s_clock; s_last_victim; s_accesses;
+          s_hits; s_writebacks; s_flush_writebacks; s_resizes })
+    |+ (int, fun s -> s.Cache.s_size_bytes)
+    |+ (int_array, fun s -> s.s_tags)
+    |+ (bool_array, fun s -> s.s_dirty)
+    |+ (int_array, fun s -> s.s_stamp)
+    |+ (int, fun s -> s.s_clock)
+    |+ (int, fun s -> s.s_last_victim)
+    |+ (int, fun s -> s.s_accesses)
+    |+ (int, fun s -> s.s_hits)
+    |+ (int, fun s -> s.s_writebacks)
+    |+ (int, fun s -> s.s_flush_writebacks)
+    |+ (int, fun s -> s.s_resizes)
+    |> seal
 
-let dec_cursor d =
-  let s_offset = Dec.int d in
-  let s_steps = Dec.int d in
-  { Pattern.s_offset; s_steps }
+  let tlb =
+    record (fun s_resident s_fifo s_head s_filled s_accesses s_misses ->
+        { Tlb.s_resident; s_fifo; s_head; s_filled; s_accesses; s_misses })
+    |+ (int_array, fun s -> s.Tlb.s_resident)
+    |+ (int_array, fun s -> s.s_fifo)
+    |+ (int, fun s -> s.s_head)
+    |+ (int, fun s -> s.s_filled)
+    |+ (int, fun s -> s.s_accesses)
+    |+ (int, fun s -> s.s_misses)
+    |> seal
 
-let enc_cache e (s : Cache.state) =
-  Enc.int e s.Cache.s_size_bytes;
-  Enc.int_arr e s.Cache.s_tags;
-  Enc.bool_arr e s.Cache.s_dirty;
-  Enc.int_arr e s.Cache.s_stamp;
-  Enc.int e s.Cache.s_clock;
-  Enc.int e s.Cache.s_last_victim;
-  Enc.int e s.Cache.s_accesses;
-  Enc.int e s.Cache.s_hits;
-  Enc.int e s.Cache.s_writebacks;
-  Enc.int e s.Cache.s_flush_writebacks;
-  Enc.int e s.Cache.s_resizes
+  let hier =
+    record (fun s_l1i s_l1d s_l2 s_dtlb s_mem_reads s_mem_writebacks ->
+        { Hierarchy.s_l1i; s_l1d; s_l2; s_dtlb; s_mem_reads; s_mem_writebacks })
+    |+ (cache, fun s -> s.Hierarchy.s_l1i)
+    |+ (cache, fun s -> s.s_l1d)
+    |+ (cache, fun s -> s.s_l2)
+    |+ (tlb, fun s -> s.s_dtlb)
+    |+ (int, fun s -> s.s_mem_reads)
+    |+ (int, fun s -> s.s_mem_writebacks)
+    |> seal
 
-let dec_cache d =
-  let s_size_bytes = Dec.int d in
-  let s_tags = Dec.int_arr d in
-  let s_dirty = Dec.bool_arr d in
-  let s_stamp = Dec.int_arr d in
-  let s_clock = Dec.int d in
-  let s_last_victim = Dec.int d in
-  let s_accesses = Dec.int d in
-  let s_hits = Dec.int d in
-  let s_writebacks = Dec.int d in
-  let s_flush_writebacks = Dec.int d in
-  let s_resizes = Dec.int d in
-  {
-    Cache.s_size_bytes;
-    s_tags;
-    s_dirty;
-    s_stamp;
-    s_clock;
-    s_last_victim;
-    s_accesses;
-    s_hits;
-    s_writebacks;
-    s_flush_writebacks;
-    s_resizes;
-  }
+  let counts =
+    record (fun c_l1i_accesses c_l1i_hits c_l1i_writebacks c_l1d_accesses c_l1d_hits
+        c_l1d_writebacks c_l2_accesses c_l2_hits c_l2_writebacks c_tlb_accesses
+        c_tlb_misses c_mem_reads c_mem_writebacks ->
+        { Hierarchy.c_l1i_accesses; c_l1i_hits; c_l1i_writebacks; c_l1d_accesses;
+          c_l1d_hits; c_l1d_writebacks; c_l2_accesses; c_l2_hits; c_l2_writebacks;
+          c_tlb_accesses; c_tlb_misses; c_mem_reads; c_mem_writebacks })
+    |+ (int, fun c -> c.Hierarchy.c_l1i_accesses)
+    |+ (int, fun c -> c.c_l1i_hits)
+    |+ (int, fun c -> c.c_l1i_writebacks)
+    |+ (int, fun c -> c.c_l1d_accesses)
+    |+ (int, fun c -> c.c_l1d_hits)
+    |+ (int, fun c -> c.c_l1d_writebacks)
+    |+ (int, fun c -> c.c_l2_accesses)
+    |+ (int, fun c -> c.c_l2_hits)
+    |+ (int, fun c -> c.c_l2_writebacks)
+    |+ (int, fun c -> c.c_tlb_accesses)
+    |+ (int, fun c -> c.c_tlb_misses)
+    |+ (int, fun c -> c.c_mem_reads)
+    |+ (int, fun c -> c.c_mem_writebacks)
+    |> seal
 
-let enc_tlb e (s : Tlb.state) =
-  Enc.int_arr e s.Tlb.s_resident;
-  Enc.int_arr e s.Tlb.s_fifo;
-  Enc.int e s.Tlb.s_head;
-  Enc.int e s.Tlb.s_filled;
-  Enc.int e s.Tlb.s_accesses;
-  Enc.int e s.Tlb.s_misses
+  let db_entry =
+    record (fun s_invocations s_samples s_compile_state s_is_hotspot s_promoted_at_instr
+        s_pre_promotion_instrs s_size_ema s_ipc_profile s_entry_overhead
+        s_exit_overhead ->
+        { Db.s_invocations; s_samples; s_compile_state; s_is_hotspot; s_promoted_at_instr;
+          s_pre_promotion_instrs; s_size_ema; s_ipc_profile; s_entry_overhead;
+          s_exit_overhead })
+    |+ (int, fun s -> s.Db.s_invocations)
+    |+ (int, fun s -> s.s_samples)
+    |+ (enum "compile_state" [| Db.Baseline; Db.Optimized |], fun s -> s.s_compile_state)
+    |+ (bool, fun s -> s.s_is_hotspot)
+    |+ (int, fun s -> s.s_promoted_at_instr)
+    |+ (int, fun s -> s.s_pre_promotion_instrs)
+    |+ (ema, fun s -> s.s_size_ema)
+    |+ (running, fun s -> s.s_ipc_profile)
+    |+ (int, fun s -> s.s_entry_overhead)
+    |+ (int, fun s -> s.s_exit_overhead)
+    |> seal
 
-let dec_tlb d =
-  let s_resident = Dec.int_arr d in
-  let s_fifo = Dec.int_arr d in
-  let s_head = Dec.int d in
-  let s_filled = Dec.int d in
-  let s_accesses = Dec.int d in
-  let s_misses = Dec.int d in
-  { Tlb.s_resident; s_fifo; s_head; s_filled; s_accesses; s_misses }
+  let frame =
+    record (fun fs_meth fs_quality fs_was_hotspot fs_saved_meth fs_instrs0 fs_cycles0
+        fs_l1a0 fs_l1m0 fs_l2a0 fs_l2m0 fs_sample fs_pos fs_calls_left ->
+        { Engine.fs_meth; fs_quality; fs_was_hotspot; fs_saved_meth; fs_instrs0;
+          fs_cycles0; fs_l1a0; fs_l1m0; fs_l2a0; fs_l2m0; fs_sample; fs_pos;
+          fs_calls_left })
+    |+ (int, fun s -> s.Engine.fs_meth)
+    |+ (f64, fun s -> s.fs_quality)
+    |+ (bool, fun s -> s.fs_was_hotspot)
+    |+ (int, fun s -> s.fs_saved_meth)
+    |+ (int, fun s -> s.fs_instrs0)
+    |+ (f64, fun s -> s.fs_cycles0)
+    |+ (int, fun s -> s.fs_l1a0)
+    |+ (int, fun s -> s.fs_l1m0)
+    |+ (int, fun s -> s.fs_l2a0)
+    |+ (int, fun s -> s.fs_l2m0)
+    |+ (int, fun s -> s.fs_sample)
+    |+ (int, fun s -> s.fs_pos)
+    |+ (int, fun s -> s.fs_calls_left)
+    |> seal
 
-let enc_hier e (s : Hierarchy.state) =
-  enc_cache e s.Hierarchy.s_l1i;
-  enc_cache e s.Hierarchy.s_l1d;
-  enc_cache e s.Hierarchy.s_l2;
-  enc_tlb e s.Hierarchy.s_dtlb;
-  Enc.int e s.Hierarchy.s_mem_reads;
-  Enc.int e s.Hierarchy.s_mem_writebacks
+  let ff_run =
+    record (fun ffs_instrs ffs_cycles ffs_counts ffs_start_cycles ->
+        { Engine.ffs_instrs; ffs_cycles; ffs_counts; ffs_start_cycles })
+    |+ (int, fun s -> s.Engine.ffs_instrs)
+    |+ (f64, fun s -> s.ffs_cycles)
+    |+ (counts, fun s -> s.ffs_counts)
+    |+ (f64, fun s -> s.ffs_start_cycles)
+    |> seal
 
-let dec_hier d =
-  let s_l1i = dec_cache d in
-  let s_l1d = dec_cache d in
-  let s_l2 = dec_cache d in
-  let s_dtlb = dec_tlb d in
-  let s_mem_reads = Dec.int d in
-  let s_mem_writebacks = Dec.int d in
-  { Hierarchy.s_l1i; s_l1d; s_l2; s_dtlb; s_mem_reads; s_mem_writebacks }
+  let engine =
+    record (fun s_instrs s_cycles s_overhead_instrs s_hot_instrs s_next_sample_at
+        s_next_interval_at s_current_meth s_hotspot_depth s_ilp_scale s_exposure_scale
+        s_stack s_rng s_cursors s_db s_hier s_ff ->
+        { Engine.s_instrs; s_cycles; s_overhead_instrs; s_hot_instrs; s_next_sample_at;
+          s_next_interval_at; s_current_meth; s_hotspot_depth; s_ilp_scale;
+          s_exposure_scale; s_stack; s_rng; s_cursors; s_db; s_hier; s_ff })
+    |+ (int, fun s -> s.Engine.s_instrs)
+    |+ (f64, fun s -> s.s_cycles)
+    |+ (int, fun s -> s.s_overhead_instrs)
+    |+ (int, fun s -> s.s_hot_instrs)
+    |+ (f64, fun s -> s.s_next_sample_at)
+    |+ (int, fun s -> s.s_next_interval_at)
+    |+ (int, fun s -> s.s_current_meth)
+    |+ (int, fun s -> s.s_hotspot_depth)
+    |+ (f64, fun s -> s.s_ilp_scale)
+    |+ (f64, fun s -> s.s_exposure_scale)
+    |+ (array frame, fun s -> s.s_stack)
+    |+ (i64, fun s -> s.s_rng)
+    |+ (array cursor, fun s -> s.s_cursors)
+    |+ (array db_entry, fun s -> s.s_db)
+    |+ (hier, fun s -> s.s_hier)
+    |+ (option ff_run, fun s -> s.s_ff)
+    |> seal
 
-let enc_counts e (c : Hierarchy.counts) =
-  Enc.int e c.Hierarchy.c_l1i_accesses;
-  Enc.int e c.Hierarchy.c_l1i_hits;
-  Enc.int e c.Hierarchy.c_l1i_writebacks;
-  Enc.int e c.Hierarchy.c_l1d_accesses;
-  Enc.int e c.Hierarchy.c_l1d_hits;
-  Enc.int e c.Hierarchy.c_l1d_writebacks;
-  Enc.int e c.Hierarchy.c_l2_accesses;
-  Enc.int e c.Hierarchy.c_l2_hits;
-  Enc.int e c.Hierarchy.c_l2_writebacks;
-  Enc.int e c.Hierarchy.c_tlb_accesses;
-  Enc.int e c.Hierarchy.c_tlb_misses;
-  Enc.int e c.Hierarchy.c_mem_reads;
-  Enc.int e c.Hierarchy.c_mem_writebacks
+  let latch =
+    record (fun ls_cu ls_until -> { Faults.ls_cu; ls_until })
+    |+ (string, fun l -> l.Faults.ls_cu)
+    |+ (option int, fun l -> l.ls_until)
+    |> seal
 
-let dec_counts d =
-  let c_l1i_accesses = Dec.int d in
-  let c_l1i_hits = Dec.int d in
-  let c_l1i_writebacks = Dec.int d in
-  let c_l1d_accesses = Dec.int d in
-  let c_l1d_hits = Dec.int d in
-  let c_l1d_writebacks = Dec.int d in
-  let c_l2_accesses = Dec.int d in
-  let c_l2_hits = Dec.int d in
-  let c_l2_writebacks = Dec.int d in
-  let c_tlb_accesses = Dec.int d in
-  let c_tlb_misses = Dec.int d in
-  let c_mem_reads = Dec.int d in
-  let c_mem_writebacks = Dec.int d in
-  {
-    Hierarchy.c_l1i_accesses;
-    c_l1i_hits;
-    c_l1i_writebacks;
-    c_l1d_accesses;
-    c_l1d_hits;
-    c_l1d_writebacks;
-    c_l2_accesses;
-    c_l2_hits;
-    c_l2_writebacks;
-    c_tlb_accesses;
-    c_tlb_misses;
-    c_mem_reads;
-    c_mem_writebacks;
-  }
+  let faults =
+    record (fun s_rng s_ckpt_rng s_latched s_writes_dropped s_writes_corrupted
+        s_stuck_events s_spikes s_jittered_ticks s_snapshots_corrupted ->
+        { Faults.s_rng; s_ckpt_rng; s_latched; s_writes_dropped; s_writes_corrupted;
+          s_stuck_events; s_spikes; s_jittered_ticks; s_snapshots_corrupted })
+    |+ (i64, fun s -> s.Faults.s_rng)
+    |+ (i64, fun s -> s.s_ckpt_rng)
+    |+ (array latch, fun s -> s.s_latched)
+    |+ (int, fun s -> s.s_writes_dropped)
+    |+ (int, fun s -> s.s_writes_corrupted)
+    |+ (int, fun s -> s.s_stuck_events)
+    |+ (int, fun s -> s.s_spikes)
+    |+ (int, fun s -> s.s_jittered_ticks)
+    |+ (int, fun s -> s.s_snapshots_corrupted)
+    |> seal
 
-let enc_db_entry e (s : Db.entry_state) =
-  Enc.int e s.Db.s_invocations;
-  Enc.int e s.Db.s_samples;
-  Enc.u8 e (match s.Db.s_compile_state with Db.Baseline -> 0 | Db.Optimized -> 1);
-  Enc.bool e s.Db.s_is_hotspot;
-  Enc.int e s.Db.s_promoted_at_instr;
-  Enc.int e s.Db.s_pre_promotion_instrs;
-  enc_ema e s.Db.s_size_ema;
-  enc_running e s.Db.s_ipc_profile;
-  Enc.int e s.Db.s_entry_overhead;
-  Enc.int e s.Db.s_exit_overhead
+  let cu =
+    record (fun s_current s_last_reconfig_instr s_applied s_denied s_invalid ->
+        { Cu.s_current; s_last_reconfig_instr; s_applied; s_denied; s_invalid })
+    |+ (int, fun s -> s.Cu.s_current)
+    |+ (int, fun s -> s.s_last_reconfig_instr)
+    |+ (int, fun s -> s.s_applied)
+    |+ (int, fun s -> s.s_denied)
+    |+ (int, fun s -> s.s_invalid)
+    |> seal
 
-let dec_db_entry d =
-  let s_invocations = Dec.int d in
-  let s_samples = Dec.int d in
-  let s_compile_state =
-    match Dec.u8 d with
-    | 0 -> Db.Baseline
-    | 1 -> Db.Optimized
-    | n -> raise (Codec.Error (Printf.sprintf "bad compile_state tag %d" n))
-  in
-  let s_is_hotspot = Dec.bool d in
-  let s_promoted_at_instr = Dec.int d in
-  let s_pre_promotion_instrs = Dec.int d in
-  let s_size_ema = dec_ema d in
-  let s_ipc_profile = dec_running d in
-  let s_entry_overhead = Dec.int d in
-  let s_exit_overhead = Dec.int d in
-  {
-    Db.s_invocations;
-    s_samples;
-    s_compile_state;
-    s_is_hotspot;
-    s_promoted_at_instr;
-    s_pre_promotion_instrs;
-    s_size_ema;
-    s_ipc_profile;
-    s_entry_overhead;
-    s_exit_overhead;
-  }
+  let acct =
+    record (fun s_size s_epoch_accesses s_epoch_cycles s_dynamic_nj s_leakage_nj
+        s_reconfig_nj s_reconfigs s_weighted_size_cycles s_closed_cycles ->
+        { Accounting.s_size; s_epoch_accesses; s_epoch_cycles; s_dynamic_nj; s_leakage_nj;
+          s_reconfig_nj; s_reconfigs; s_weighted_size_cycles; s_closed_cycles })
+    |+ (int, fun s -> s.Accounting.s_size)
+    |+ (int, fun s -> s.s_epoch_accesses)
+    |+ (f64, fun s -> s.s_epoch_cycles)
+    |+ (f64, fun s -> s.s_dynamic_nj)
+    |+ (f64, fun s -> s.s_leakage_nj)
+    |+ (f64, fun s -> s.s_reconfig_nj)
+    |+ (int, fun s -> s.s_reconfigs)
+    |+ (f64, fun s -> s.s_weighted_size_cycles)
+    |+ (f64, fun s -> s.s_closed_cycles)
+    |> seal
 
-let enc_frame e (s : Engine.frame_state) =
-  Enc.int e s.Engine.fs_meth;
-  Enc.f64 e s.Engine.fs_quality;
-  Enc.bool e s.Engine.fs_was_hotspot;
-  Enc.int e s.Engine.fs_saved_meth;
-  Enc.int e s.Engine.fs_instrs0;
-  Enc.f64 e s.Engine.fs_cycles0;
-  Enc.int e s.Engine.fs_l1a0;
-  Enc.int e s.Engine.fs_l1m0;
-  Enc.int e s.Engine.fs_l2a0;
-  Enc.int e s.Engine.fs_l2m0;
-  Enc.int e s.Engine.fs_sample;
-  Enc.int e s.Engine.fs_pos;
-  Enc.int e s.Engine.fs_calls_left
+  let tuner_measurement =
+    record (fun ms_config ms_energy ms_ipc -> { Tuner.ms_config; ms_energy; ms_ipc })
+    |+ (int_array, fun m -> m.Tuner.ms_config)
+    |+ (f64, fun m -> m.ms_energy)
+    |+ (f64, fun m -> m.ms_ipc)
+    |> seal
 
-let dec_frame d =
-  let fs_meth = Dec.int d in
-  let fs_quality = Dec.f64 d in
-  let fs_was_hotspot = Dec.bool d in
-  let fs_saved_meth = Dec.int d in
-  let fs_instrs0 = Dec.int d in
-  let fs_cycles0 = Dec.f64 d in
-  let fs_l1a0 = Dec.int d in
-  let fs_l1m0 = Dec.int d in
-  let fs_l2a0 = Dec.int d in
-  let fs_l2m0 = Dec.int d in
-  let fs_sample = Dec.int d in
-  let fs_pos = Dec.int d in
-  let fs_calls_left = Dec.int d in
-  {
-    Engine.fs_meth;
-    fs_quality;
-    fs_was_hotspot;
-    fs_saved_meth;
-    fs_instrs0;
-    fs_cycles0;
-    fs_l1a0;
-    fs_l1m0;
-    fs_l2a0;
-    fs_l2m0;
-    fs_sample;
-    fs_pos;
-    fs_calls_left;
-  }
+  let tuning =
+    record (fun ts_next ts_pending ts_measurements ts_acc_energy ts_acc_ipc ts_acc_n
+        ts_acc_samples ts_warmup_left ts_attempts ts_backoff_left ts_degrade_flagged ->
+        { Tuner.ts_next; ts_pending; ts_measurements; ts_acc_energy; ts_acc_ipc; ts_acc_n;
+          ts_acc_samples; ts_warmup_left; ts_attempts; ts_backoff_left;
+          ts_degrade_flagged })
+    |+ (int, fun s -> s.Tuner.ts_next)
+    |+ (bool, fun s -> s.ts_pending)
+    |+ (list tuner_measurement, fun s -> s.ts_measurements)
+    |+ (f64, fun s -> s.ts_acc_energy)
+    |+ (f64, fun s -> s.ts_acc_ipc)
+    |+ (int, fun s -> s.ts_acc_n)
+    |+ (list (pair f64 f64), fun s -> s.ts_acc_samples)
+    |+ (int, fun s -> s.ts_warmup_left)
+    |+ (int, fun s -> s.ts_attempts)
+    |+ (int, fun s -> s.ts_backoff_left)
+    |+ (bool, fun s -> s.ts_degrade_flagged)
+    |> seal
 
-let enc_ff_run e (s : Engine.ff_run_state) =
-  Enc.int e s.Engine.ffs_instrs;
-  Enc.f64 e s.Engine.ffs_cycles;
-  enc_counts e s.Engine.ffs_counts;
-  Enc.f64 e s.Engine.ffs_start_cycles
+  let tuner_phase =
+    variant "tuner phase"
+      (fun b -> function
+        | Tuner.S_tuning ts -> tag b 0; tuning.enc b ts
+        | S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming } ->
+            tag b 1; int_array.enc b cs_best; f64.enc b cs_ref_ipc; int.enc b cs_exits;
+            bool.enc b cs_sampling; bool.enc b cs_confirming
+        | S_quarantined { qs_best } -> tag b 2; int_array.enc b qs_best)
+      [|
+        (fun d -> Tuner.S_tuning (tuning.dec d));
+        (fun d ->
+          let cs_best = int_array.dec d in
+          let cs_ref_ipc = f64.dec d in
+          let cs_exits = int.dec d in
+          let cs_sampling = bool.dec d in
+          let cs_confirming = bool.dec d in
+          Tuner.S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming });
+        (fun d -> Tuner.S_quarantined { qs_best = int_array.dec d });
+      |]
 
-let dec_ff_run d =
-  let ffs_instrs = Dec.int d in
-  let ffs_cycles = Dec.f64 d in
-  let ffs_counts = dec_counts d in
-  let ffs_start_cycles = Dec.f64 d in
-  { Engine.ffs_instrs; ffs_cycles; ffs_counts; ffs_start_cycles }
+  let tuner =
+    record (fun s_phase s_rounds s_tested_last_round s_total_exits s_retune_exits
+        s_retries s_backoff_skips s_skipped_configs s_verify_failures ->
+        { Tuner.s_phase; s_rounds; s_tested_last_round; s_total_exits; s_retune_exits;
+          s_retries; s_backoff_skips; s_skipped_configs; s_verify_failures })
+    |+ (tuner_phase, fun s -> s.Tuner.s_phase)
+    |+ (int, fun s -> s.s_rounds)
+    |+ (int, fun s -> s.s_tested_last_round)
+    |+ (int, fun s -> s.s_total_exits)
+    |+ (list int, fun s -> s.s_retune_exits)
+    |+ (int, fun s -> s.s_retries)
+    |+ (int, fun s -> s.s_backoff_skips)
+    |+ (int, fun s -> s.s_skipped_configs)
+    |+ (int, fun s -> s.s_verify_failures)
+    |> seal
 
-let enc_engine e (s : Engine.state) =
-  Enc.int e s.Engine.s_instrs;
-  Enc.f64 e s.Engine.s_cycles;
-  Enc.int e s.Engine.s_overhead_instrs;
-  Enc.int e s.Engine.s_hot_instrs;
-  Enc.f64 e s.Engine.s_next_sample_at;
-  Enc.int e s.Engine.s_next_interval_at;
-  Enc.int e s.Engine.s_current_meth;
-  Enc.int e s.Engine.s_hotspot_depth;
-  Enc.f64 e s.Engine.s_ilp_scale;
-  Enc.f64 e s.Engine.s_exposure_scale;
-  Enc.arr enc_frame e s.Engine.s_stack;
-  Enc.i64 e s.Engine.s_rng;
-  Enc.arr enc_cursor e s.Engine.s_cursors;
-  Enc.arr enc_db_entry e s.Engine.s_db;
-  enc_hier e s.Engine.s_hier;
-  Enc.opt enc_ff_run e s.Engine.s_ff
+  let hotspot_state =
+    record (fun hs_tuner hs_managed hs_ever_configured hs_last_invoked ->
+        { Framework.hs_tuner; hs_managed; hs_ever_configured; hs_last_invoked })
+    |+ (tuner, fun s -> s.Framework.hs_tuner)
+    |+ (int_array, fun s -> s.hs_managed)
+    |+ (bool, fun s -> s.hs_ever_configured)
+    |+ (int, fun s -> s.hs_last_invoked)
+    |> seal
 
-let dec_engine d =
-  let s_instrs = Dec.int d in
-  let s_cycles = Dec.f64 d in
-  let s_overhead_instrs = Dec.int d in
-  let s_hot_instrs = Dec.int d in
-  let s_next_sample_at = Dec.f64 d in
-  let s_next_interval_at = Dec.int d in
-  let s_current_meth = Dec.int d in
-  let s_hotspot_depth = Dec.int d in
-  let s_ilp_scale = Dec.f64 d in
-  let s_exposure_scale = Dec.f64 d in
-  let s_stack = Dec.arr dec_frame d in
-  let s_rng = Dec.i64 d in
-  let s_cursors = Dec.arr dec_cursor d in
-  let s_db = Dec.arr dec_db_entry d in
-  let s_hier = dec_hier d in
-  let s_ff = Dec.opt dec_ff_run d in
-  {
-    Engine.s_instrs;
-    s_cycles;
-    s_overhead_instrs;
-    s_hot_instrs;
-    s_next_sample_at;
-    s_next_interval_at;
-    s_current_meth;
-    s_hotspot_depth;
-    s_ilp_scale;
-    s_exposure_scale;
-    s_stack;
-    s_rng;
-    s_cursors;
-    s_db;
-    s_hier;
-    s_ff;
-  }
+  let framework =
+    record (fun s_states s_accts s_cus s_class_depth s_class_start s_covered s_tunings
+        s_reconfigs s_class_hotspots s_tuned_hotspots s_retunes s_predicted s_believed
+        s_mis_since s_misconfig s_verify_failures s_consec_badwrites s_failed
+        s_probe_countdown s_recoveries s_quarantined s_frame_masks s_invoke_tick
+        s_unmanaged s_finalized ->
+        { Framework.s_states; s_accts; s_cus; s_class_depth; s_class_start; s_covered;
+          s_tunings; s_reconfigs; s_class_hotspots; s_tuned_hotspots; s_retunes;
+          s_predicted; s_believed; s_mis_since; s_misconfig; s_verify_failures;
+          s_consec_badwrites; s_failed; s_probe_countdown; s_recoveries; s_quarantined;
+          s_frame_masks; s_invoke_tick; s_unmanaged; s_finalized })
+    |+ (array (option hotspot_state), fun s -> s.Framework.s_states)
+    |+ (array (option acct), fun s -> s.s_accts)
+    |+ (array cu, fun s -> s.s_cus)
+    |+ (int_array, fun s -> s.s_class_depth)
+    |+ (int_array, fun s -> s.s_class_start)
+    |+ (int_array, fun s -> s.s_covered)
+    |+ (int_array, fun s -> s.s_tunings)
+    |+ (int_array, fun s -> s.s_reconfigs)
+    |+ (int_array, fun s -> s.s_class_hotspots)
+    |+ (int_array, fun s -> s.s_tuned_hotspots)
+    |+ (int_array, fun s -> s.s_retunes)
+    |+ (int_array, fun s -> s.s_predicted)
+    |+ (int_array, fun s -> s.s_believed)
+    |+ (int_array, fun s -> s.s_mis_since)
+    |+ (int_array, fun s -> s.s_misconfig)
+    |+ (int_array, fun s -> s.s_verify_failures)
+    |+ (int_array, fun s -> s.s_consec_badwrites)
+    |+ (bool_array, fun s -> s.s_failed)
+    |+ (int_array, fun s -> s.s_probe_countdown)
+    |+ (int_array, fun s -> s.s_recoveries)
+    |+ (int, fun s -> s.s_quarantined)
+    |+ (list int, fun s -> s.s_frame_masks)
+    |+ (int, fun s -> s.s_invoke_tick)
+    |+ (int, fun s -> s.s_unmanaged)
+    |+ (bool, fun s -> s.s_finalized)
+    |> seal
 
-let enc_faults e (s : Faults.state) =
-  Enc.i64 e s.Faults.s_rng;
-  Enc.i64 e s.Faults.s_ckpt_rng;
-  Enc.arr
-    (fun e (l : Faults.latch_state) ->
-      Enc.str e l.Faults.ls_cu;
-      Enc.opt Enc.int e l.Faults.ls_until)
-    e s.Faults.s_latched;
-  Enc.int e s.Faults.s_writes_dropped;
-  Enc.int e s.Faults.s_writes_corrupted;
-  Enc.int e s.Faults.s_stuck_events;
-  Enc.int e s.Faults.s_spikes;
-  Enc.int e s.Faults.s_jittered_ticks;
-  Enc.int e s.Faults.s_snapshots_corrupted
+  let vector =
+    record (fun s_counters s_total -> { Vector.s_counters; s_total })
+    |+ (int_array, fun v -> v.Vector.s_counters)
+    |+ (int, fun v -> v.s_total)
+    |> seal
 
-let dec_faults d =
-  let s_rng = Dec.i64 d in
-  let s_ckpt_rng = Dec.i64 d in
-  let s_latched =
-    Dec.arr
-      (fun d ->
-        let ls_cu = Dec.str d in
-        let ls_until = Dec.opt Dec.int d in
-        { Faults.ls_cu; ls_until })
-      d
-  in
-  let s_writes_dropped = Dec.int d in
-  let s_writes_corrupted = Dec.int d in
-  let s_stuck_events = Dec.int d in
-  let s_spikes = Dec.int d in
-  let s_jittered_ticks = Dec.int d in
-  let s_snapshots_corrupted = Dec.int d in
-  {
-    Faults.s_rng;
-    s_ckpt_rng;
-    s_latched;
-    s_writes_dropped;
-    s_writes_corrupted;
-    s_stuck_events;
-    s_spikes;
-    s_jittered_ticks;
-    s_snapshots_corrupted;
-  }
+  let tracker =
+    record (fun s_signatures s_counts s_n_intervals s_n_stable s_cur_phase s_cur_run ->
+        { Tracker.s_signatures; s_counts; s_n_intervals; s_n_stable; s_cur_phase;
+          s_cur_run })
+    |+ (array f64_array, fun t -> t.Tracker.s_signatures)
+    |+ (int_array, fun t -> t.s_counts)
+    |+ (int, fun t -> t.s_n_intervals)
+    |+ (int, fun t -> t.s_n_stable)
+    |+ (int, fun t -> t.s_cur_phase)
+    |+ (int, fun t -> t.s_cur_run)
+    |> seal
 
-let enc_cu e (s : Cu.state) =
-  Enc.int e s.Cu.s_current;
-  Enc.int e s.Cu.s_last_reconfig_instr;
-  Enc.int e s.Cu.s_applied;
-  Enc.int e s.Cu.s_denied;
-  Enc.int e s.Cu.s_invalid
+  let bbv_measurement =
+    record (fun ms_config ms_energy ms_ipc -> { Bbv_scheme.ms_config; ms_energy; ms_ipc })
+    |+ (int_array, fun m -> m.Bbv_scheme.ms_config)
+    |+ (f64, fun m -> m.ms_energy)
+    |+ (f64, fun m -> m.ms_ipc)
+    |> seal
 
-let dec_cu d =
-  let s_current = Dec.int d in
-  let s_last_reconfig_instr = Dec.int d in
-  let s_applied = Dec.int d in
-  let s_denied = Dec.int d in
-  let s_invalid = Dec.int d in
-  { Cu.s_current; s_last_reconfig_instr; s_applied; s_denied; s_invalid }
-
-let enc_acct e (s : Accounting.state) =
-  Enc.int e s.Accounting.s_size;
-  Enc.int e s.Accounting.s_epoch_accesses;
-  Enc.f64 e s.Accounting.s_epoch_cycles;
-  Enc.f64 e s.Accounting.s_dynamic_nj;
-  Enc.f64 e s.Accounting.s_leakage_nj;
-  Enc.f64 e s.Accounting.s_reconfig_nj;
-  Enc.int e s.Accounting.s_reconfigs;
-  Enc.f64 e s.Accounting.s_weighted_size_cycles;
-  Enc.f64 e s.Accounting.s_closed_cycles
-
-let dec_acct d =
-  let s_size = Dec.int d in
-  let s_epoch_accesses = Dec.int d in
-  let s_epoch_cycles = Dec.f64 d in
-  let s_dynamic_nj = Dec.f64 d in
-  let s_leakage_nj = Dec.f64 d in
-  let s_reconfig_nj = Dec.f64 d in
-  let s_reconfigs = Dec.int d in
-  let s_weighted_size_cycles = Dec.f64 d in
-  let s_closed_cycles = Dec.f64 d in
-  {
-    Accounting.s_size;
-    s_epoch_accesses;
-    s_epoch_cycles;
-    s_dynamic_nj;
-    s_leakage_nj;
-    s_reconfig_nj;
-    s_reconfigs;
-    s_weighted_size_cycles;
-    s_closed_cycles;
-  }
-
-let enc_tuner_measurement e (m : Tuner.measurement_state) =
-  Enc.int_arr e m.Tuner.ms_config;
-  Enc.f64 e m.Tuner.ms_energy;
-  Enc.f64 e m.Tuner.ms_ipc
-
-let dec_tuner_measurement d =
-  let ms_config = Dec.int_arr d in
-  let ms_energy = Dec.f64 d in
-  let ms_ipc = Dec.f64 d in
-  { Tuner.ms_config; ms_energy; ms_ipc }
-
-let enc_sample e (energy, ipc) =
-  Enc.f64 e energy;
-  Enc.f64 e ipc
-
-let dec_sample d =
-  let energy = Dec.f64 d in
-  let ipc = Dec.f64 d in
-  (energy, ipc)
-
-let enc_tuner_phase e (p : Tuner.phase_state) =
-  match p with
-  | Tuner.S_tuning ts ->
-      Enc.u8 e 0;
-      Enc.int e ts.Tuner.ts_next;
-      Enc.bool e ts.Tuner.ts_pending;
-      Enc.list enc_tuner_measurement e ts.Tuner.ts_measurements;
-      Enc.f64 e ts.Tuner.ts_acc_energy;
-      Enc.f64 e ts.Tuner.ts_acc_ipc;
-      Enc.int e ts.Tuner.ts_acc_n;
-      Enc.list enc_sample e ts.Tuner.ts_acc_samples;
-      Enc.int e ts.Tuner.ts_warmup_left;
-      Enc.int e ts.Tuner.ts_attempts;
-      Enc.int e ts.Tuner.ts_backoff_left;
-      Enc.bool e ts.Tuner.ts_degrade_flagged
-  | Tuner.S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming }
-    ->
-      Enc.u8 e 1;
-      Enc.int_arr e cs_best;
-      Enc.f64 e cs_ref_ipc;
-      Enc.int e cs_exits;
-      Enc.bool e cs_sampling;
-      Enc.bool e cs_confirming
-  | Tuner.S_quarantined { qs_best } ->
-      Enc.u8 e 2;
-      Enc.int_arr e qs_best
-
-let dec_tuner_phase d =
-  match Dec.u8 d with
-  | 0 ->
-      let ts_next = Dec.int d in
-      let ts_pending = Dec.bool d in
-      let ts_measurements = Dec.list dec_tuner_measurement d in
-      let ts_acc_energy = Dec.f64 d in
-      let ts_acc_ipc = Dec.f64 d in
-      let ts_acc_n = Dec.int d in
-      let ts_acc_samples = Dec.list dec_sample d in
-      let ts_warmup_left = Dec.int d in
-      let ts_attempts = Dec.int d in
-      let ts_backoff_left = Dec.int d in
-      let ts_degrade_flagged = Dec.bool d in
-      Tuner.S_tuning
-        {
-          Tuner.ts_next;
-          ts_pending;
-          ts_measurements;
-          ts_acc_energy;
-          ts_acc_ipc;
-          ts_acc_n;
-          ts_acc_samples;
-          ts_warmup_left;
-          ts_attempts;
-          ts_backoff_left;
-          ts_degrade_flagged;
-        }
-  | 1 ->
-      let cs_best = Dec.int_arr d in
-      let cs_ref_ipc = Dec.f64 d in
-      let cs_exits = Dec.int d in
-      let cs_sampling = Dec.bool d in
-      let cs_confirming = Dec.bool d in
-      Tuner.S_configured { cs_best; cs_ref_ipc; cs_exits; cs_sampling; cs_confirming }
-  | 2 ->
-      let qs_best = Dec.int_arr d in
-      Tuner.S_quarantined { qs_best }
-  | n -> raise (Codec.Error (Printf.sprintf "bad tuner phase tag %d" n))
-
-let enc_tuner e (s : Tuner.state) =
-  enc_tuner_phase e s.Tuner.s_phase;
-  Enc.int e s.Tuner.s_rounds;
-  Enc.int e s.Tuner.s_tested_last_round;
-  Enc.int e s.Tuner.s_total_exits;
-  Enc.list Enc.int e s.Tuner.s_retune_exits;
-  Enc.int e s.Tuner.s_retries;
-  Enc.int e s.Tuner.s_backoff_skips;
-  Enc.int e s.Tuner.s_skipped_configs;
-  Enc.int e s.Tuner.s_verify_failures
-
-let dec_tuner d =
-  let s_phase = dec_tuner_phase d in
-  let s_rounds = Dec.int d in
-  let s_tested_last_round = Dec.int d in
-  let s_total_exits = Dec.int d in
-  let s_retune_exits = Dec.list Dec.int d in
-  let s_retries = Dec.int d in
-  let s_backoff_skips = Dec.int d in
-  let s_skipped_configs = Dec.int d in
-  let s_verify_failures = Dec.int d in
-  {
-    Tuner.s_phase;
-    s_rounds;
-    s_tested_last_round;
-    s_total_exits;
-    s_retune_exits;
-    s_retries;
-    s_backoff_skips;
-    s_skipped_configs;
-    s_verify_failures;
-  }
-
-let enc_framework e (s : Framework.state) =
-  Enc.arr
-    (Enc.opt (fun e (hs : Framework.hotspot_state_state) ->
-         enc_tuner e hs.Framework.hs_tuner;
-         Enc.int_arr e hs.Framework.hs_managed;
-         Enc.bool e hs.Framework.hs_ever_configured;
-         Enc.int e hs.Framework.hs_last_invoked))
-    e s.Framework.s_states;
-  Enc.arr (Enc.opt enc_acct) e s.Framework.s_accts;
-  Enc.arr enc_cu e s.Framework.s_cus;
-  Enc.int_arr e s.Framework.s_class_depth;
-  Enc.int_arr e s.Framework.s_class_start;
-  Enc.int_arr e s.Framework.s_covered;
-  Enc.int_arr e s.Framework.s_tunings;
-  Enc.int_arr e s.Framework.s_reconfigs;
-  Enc.int_arr e s.Framework.s_class_hotspots;
-  Enc.int_arr e s.Framework.s_tuned_hotspots;
-  Enc.int_arr e s.Framework.s_retunes;
-  Enc.int_arr e s.Framework.s_predicted;
-  Enc.int_arr e s.Framework.s_believed;
-  Enc.int_arr e s.Framework.s_mis_since;
-  Enc.int_arr e s.Framework.s_misconfig;
-  Enc.int_arr e s.Framework.s_verify_failures;
-  Enc.int_arr e s.Framework.s_consec_badwrites;
-  Enc.bool_arr e s.Framework.s_failed;
-  Enc.int_arr e s.Framework.s_probe_countdown;
-  Enc.int_arr e s.Framework.s_recoveries;
-  Enc.int e s.Framework.s_quarantined;
-  Enc.list Enc.int e s.Framework.s_frame_masks;
-  Enc.int e s.Framework.s_invoke_tick;
-  Enc.int e s.Framework.s_unmanaged;
-  Enc.bool e s.Framework.s_finalized
-
-let dec_framework d =
-  let s_states =
-    Dec.arr
-      (Dec.opt (fun d ->
-           let hs_tuner = dec_tuner d in
-           let hs_managed = Dec.int_arr d in
-           let hs_ever_configured = Dec.bool d in
-           let hs_last_invoked = Dec.int d in
-           { Framework.hs_tuner; hs_managed; hs_ever_configured; hs_last_invoked }))
-      d
-  in
-  let s_accts = Dec.arr (Dec.opt dec_acct) d in
-  let s_cus = Dec.arr dec_cu d in
-  let s_class_depth = Dec.int_arr d in
-  let s_class_start = Dec.int_arr d in
-  let s_covered = Dec.int_arr d in
-  let s_tunings = Dec.int_arr d in
-  let s_reconfigs = Dec.int_arr d in
-  let s_class_hotspots = Dec.int_arr d in
-  let s_tuned_hotspots = Dec.int_arr d in
-  let s_retunes = Dec.int_arr d in
-  let s_predicted = Dec.int_arr d in
-  let s_believed = Dec.int_arr d in
-  let s_mis_since = Dec.int_arr d in
-  let s_misconfig = Dec.int_arr d in
-  let s_verify_failures = Dec.int_arr d in
-  let s_consec_badwrites = Dec.int_arr d in
-  let s_failed = Dec.bool_arr d in
-  let s_probe_countdown = Dec.int_arr d in
-  let s_recoveries = Dec.int_arr d in
-  let s_quarantined = Dec.int d in
-  let s_frame_masks = Dec.list Dec.int d in
-  let s_invoke_tick = Dec.int d in
-  let s_unmanaged = Dec.int d in
-  let s_finalized = Dec.bool d in
-  {
-    Framework.s_states;
-    s_accts;
-    s_cus;
-    s_class_depth;
-    s_class_start;
-    s_covered;
-    s_tunings;
-    s_reconfigs;
-    s_class_hotspots;
-    s_tuned_hotspots;
-    s_retunes;
-    s_predicted;
-    s_believed;
-    s_mis_since;
-    s_misconfig;
-    s_verify_failures;
-    s_consec_badwrites;
-    s_failed;
-    s_probe_countdown;
-    s_recoveries;
-    s_quarantined;
-    s_frame_masks;
-    s_invoke_tick;
-    s_unmanaged;
-    s_finalized;
-  }
-
-let enc_bbv_measurement e (m : Bbv_scheme.measurement_state) =
-  Enc.int_arr e m.Bbv_scheme.ms_config;
-  Enc.f64 e m.Bbv_scheme.ms_energy;
-  Enc.f64 e m.Bbv_scheme.ms_ipc
-
-let dec_bbv_measurement d =
-  let ms_config = Dec.int_arr d in
-  let ms_energy = Dec.f64 d in
-  let ms_ipc = Dec.f64 d in
-  { Bbv_scheme.ms_config; ms_energy; ms_ipc }
-
-let enc_bbv e (s : Bbv_scheme.state) =
-  Enc.int_arr e s.Bbv_scheme.s_vector.Vector.s_counters;
-  Enc.int e s.Bbv_scheme.s_vector.Vector.s_total;
-  (let tr = s.Bbv_scheme.s_tracker in
-   Enc.arr Enc.f64_arr e tr.Tracker.s_signatures;
-   Enc.int_arr e tr.Tracker.s_counts;
-   Enc.int e tr.Tracker.s_n_intervals;
-   Enc.int e tr.Tracker.s_n_stable;
-   Enc.int e tr.Tracker.s_cur_phase;
-   Enc.int e tr.Tracker.s_cur_run);
-  Enc.arr
-    (fun e (ps : Bbv_scheme.phase_state_state) ->
-      Enc.int e ps.Bbv_scheme.ps_next;
-      Enc.list enc_bbv_measurement e ps.Bbv_scheme.ps_measurements;
-      Enc.opt Enc.int_arr e ps.Bbv_scheme.ps_best;
-      enc_running e ps.Bbv_scheme.ps_ipc_stats)
-    e s.Bbv_scheme.s_phases;
-  Enc.arr (Enc.opt enc_acct) e s.Bbv_scheme.s_accts;
-  Enc.arr enc_cu e s.Bbv_scheme.s_cus;
-  Enc.opt
-    (fun e (phase, idx, stage) ->
-      Enc.int e phase;
-      Enc.int e idx;
-      Enc.u8 e (match stage with `Warm -> 0 | `Measure -> 1))
-    e s.Bbv_scheme.s_pending;
-  Enc.int e s.Bbv_scheme.s_instrs0;
-  Enc.f64 e s.Bbv_scheme.s_cycles0;
-  Enc.int e s.Bbv_scheme.s_l1a0;
-  Enc.int e s.Bbv_scheme.s_l1m0;
-  Enc.int e s.Bbv_scheme.s_l2a0;
-  Enc.int e s.Bbv_scheme.s_l2m0;
-  (let p = s.Bbv_scheme.s_predictor in
-   Enc.arr
-     (fun e (prev, succs) ->
-       Enc.int e prev;
-       Enc.arr
-         (fun e (next, count) ->
-           Enc.int e next;
-           Enc.int e count)
-         e succs)
-     e p.Next_phase.s_transitions;
-   Enc.int e p.Next_phase.s_n_predictions;
-   Enc.int e p.Next_phase.s_n_correct);
-  Enc.int e s.Bbv_scheme.s_prev_phase;
-  Enc.opt Enc.int e s.Bbv_scheme.s_pending_prediction;
-  Enc.int e s.Bbv_scheme.s_n_tunings;
-  Enc.int_arr e s.Bbv_scheme.s_reconfigs;
-  Enc.bool e s.Bbv_scheme.s_finalized
-
-let dec_bbv d =
-  let s_counters = Dec.int_arr d in
-  let s_total = Dec.int d in
-  let s_vector = { Vector.s_counters; s_total } in
-  let s_signatures = Dec.arr Dec.f64_arr d in
-  let s_counts = Dec.int_arr d in
-  let s_n_intervals = Dec.int d in
-  let s_n_stable = Dec.int d in
-  let s_cur_phase = Dec.int d in
-  let s_cur_run = Dec.int d in
-  let s_tracker =
-    { Tracker.s_signatures; s_counts; s_n_intervals; s_n_stable; s_cur_phase; s_cur_run }
-  in
-  let s_phases =
-    Dec.arr
-      (fun d ->
-        let ps_next = Dec.int d in
-        let ps_measurements = Dec.list dec_bbv_measurement d in
-        let ps_best = Dec.opt Dec.int_arr d in
-        let ps_ipc_stats = dec_running d in
+  let bbv_phase =
+    record (fun ps_next ps_measurements ps_best ps_ipc_stats ->
         { Bbv_scheme.ps_next; ps_measurements; ps_best; ps_ipc_stats })
-      d
-  in
-  let s_accts = Dec.arr (Dec.opt dec_acct) d in
-  let s_cus = Dec.arr dec_cu d in
-  let s_pending =
-    Dec.opt
-      (fun d ->
-        let phase = Dec.int d in
-        let idx = Dec.int d in
-        let stage =
-          match Dec.u8 d with
-          | 0 -> `Warm
-          | 1 -> `Measure
-          | n -> raise (Codec.Error (Printf.sprintf "bad pending stage tag %d" n))
-        in
-        (phase, idx, stage))
-      d
-  in
-  let s_instrs0 = Dec.int d in
-  let s_cycles0 = Dec.f64 d in
-  let s_l1a0 = Dec.int d in
-  let s_l1m0 = Dec.int d in
-  let s_l2a0 = Dec.int d in
-  let s_l2m0 = Dec.int d in
-  let s_transitions =
-    Dec.arr
-      (fun d ->
-        let prev = Dec.int d in
-        let succs =
-          Dec.arr
-            (fun d ->
-              let next = Dec.int d in
-              let count = Dec.int d in
-              (next, count))
-            d
-        in
-        (prev, succs))
-      d
-  in
-  let s_n_predictions = Dec.int d in
-  let s_n_correct = Dec.int d in
-  let s_predictor = { Next_phase.s_transitions; s_n_predictions; s_n_correct } in
-  let s_prev_phase = Dec.int d in
-  let s_pending_prediction = Dec.opt Dec.int d in
-  let s_n_tunings = Dec.int d in
-  let s_reconfigs = Dec.int_arr d in
-  let s_finalized = Dec.bool d in
-  {
-    Bbv_scheme.s_vector;
-    s_tracker;
-    s_phases;
-    s_accts;
-    s_cus;
-    s_pending;
-    s_instrs0;
-    s_cycles0;
-    s_l1a0;
-    s_l1m0;
-    s_l2a0;
-    s_l2m0;
-    s_predictor;
-    s_prev_phase;
-    s_pending_prediction;
-    s_n_tunings;
-    s_reconfigs;
-    s_finalized;
-  }
+    |+ (int, fun p -> p.Bbv_scheme.ps_next)
+    |+ (list bbv_measurement, fun p -> p.ps_measurements)
+    |+ (option int_array, fun p -> p.ps_best)
+    |+ (running, fun p -> p.ps_ipc_stats)
+    |> seal
 
-let enc_sample_config e (c : Sample.config) =
-  Enc.int e c.Sample.warmup;
-  Enc.int e c.Sample.repeats;
-  Enc.f64 e c.Sample.cov_bound;
-  Enc.int e c.Sample.recalibrate_every
+  let predictor =
+    record (fun s_transitions s_n_predictions s_n_correct ->
+        { Next_phase.s_transitions; s_n_predictions; s_n_correct })
+    |+ (array (pair int (array (pair int int))), fun p -> p.Next_phase.s_transitions)
+    |+ (int, fun p -> p.s_n_predictions)
+    |+ (int, fun p -> p.s_n_correct)
+    |> seal
 
-let dec_sample_config d =
-  let warmup = Dec.int d in
-  let repeats = Dec.int d in
-  let cov_bound = Dec.f64 d in
-  let recalibrate_every = Dec.int d in
-  { Sample.warmup; repeats; cov_bound; recalibrate_every }
+  let bbv =
+    record (fun s_vector s_tracker s_phases s_accts s_cus s_pending s_instrs0 s_cycles0
+        s_l1a0 s_l1m0 s_l2a0 s_l2m0 s_predictor s_prev_phase s_pending_prediction
+        s_n_tunings s_reconfigs s_finalized ->
+        { Bbv_scheme.s_vector; s_tracker; s_phases; s_accts; s_cus; s_pending; s_instrs0;
+          s_cycles0; s_l1a0; s_l1m0; s_l2a0; s_l2m0; s_predictor; s_prev_phase;
+          s_pending_prediction; s_n_tunings; s_reconfigs; s_finalized })
+    |+ (vector, fun s -> s.Bbv_scheme.s_vector)
+    |+ (tracker, fun s -> s.s_tracker)
+    |+ (array bbv_phase, fun s -> s.s_phases)
+    |+ (array (option acct), fun s -> s.s_accts)
+    |+ (array cu, fun s -> s.s_cus)
+    |+ ( option (triple int int (enum "pending stage" [| `Warm; `Measure |])),
+         fun s -> s.s_pending )
+    |+ (int, fun s -> s.s_instrs0)
+    |+ (f64, fun s -> s.s_cycles0)
+    |+ (int, fun s -> s.s_l1a0)
+    |+ (int, fun s -> s.s_l1m0)
+    |+ (int, fun s -> s.s_l2a0)
+    |+ (int, fun s -> s.s_l2m0)
+    |+ (predictor, fun s -> s.s_predictor)
+    |+ (int, fun s -> s.s_prev_phase)
+    |+ (option int, fun s -> s.s_pending_prediction)
+    |+ (int, fun s -> s.s_n_tunings)
+    |+ (int_array, fun s -> s.s_reconfigs)
+    |+ (bool, fun s -> s.s_finalized)
+    |> seal
 
-let enc_meta e m =
-  Enc.str e m.workload;
-  Enc.u8 e (match m.scheme with Baseline -> 0 | Hotspot -> 1 | Bbv -> 2);
-  Enc.f64 e m.scale;
-  Enc.int e m.seed;
-  Enc.int e m.hot_threshold;
-  Enc.bool e m.with_issue_queue;
-  Enc.bool e m.bbv_prediction;
-  Enc.bool e m.resilient;
-  Enc.opt Enc.f64 e m.fault_rate;
-  Enc.int e m.checkpoint_every;
-  Enc.opt enc_sample_config e m.sample
+  let sample_config =
+    record (fun warmup repeats cov_bound recalibrate_every ->
+        { Sample.warmup; repeats; cov_bound; recalibrate_every })
+    |+ (int, fun c -> c.Sample.warmup)
+    |+ (int, fun c -> c.repeats)
+    |+ (f64, fun c -> c.cov_bound)
+    |+ (int, fun c -> c.recalibrate_every)
+    |> seal
 
-let dec_meta d =
-  let workload = Dec.str d in
-  let scheme =
-    match Dec.u8 d with
-    | 0 -> Baseline
-    | 1 -> Hotspot
-    | 2 -> Bbv
-    | n -> raise (Codec.Error (Printf.sprintf "bad scheme tag %d" n))
-  in
-  let scale = Dec.f64 d in
-  let seed = Dec.int d in
-  let hot_threshold = Dec.int d in
-  let with_issue_queue = Dec.bool d in
-  let bbv_prediction = Dec.bool d in
-  let resilient = Dec.bool d in
-  let fault_rate = Dec.opt Dec.f64 d in
-  let checkpoint_every = Dec.int d in
-  let sample = Dec.opt dec_sample_config d in
-  {
-    workload;
-    scheme;
-    scale;
-    seed;
-    hot_threshold;
-    with_issue_queue;
-    bbv_prediction;
-    resilient;
-    fault_rate;
-    checkpoint_every;
-    sample;
-  }
+  let meta =
+    record (fun workload scheme scale seed hot_threshold with_issue_queue bbv_prediction
+        resilient fault_rate checkpoint_every sample ->
+        { workload; scheme; scale; seed; hot_threshold; with_issue_queue; bbv_prediction;
+          resilient; fault_rate; checkpoint_every; sample })
+    |+ (string, fun m -> m.workload)
+    |+ (enum "scheme" [| Baseline; Hotspot; Bbv |], fun m -> m.scheme)
+    |+ (f64, fun m -> m.scale)
+    |+ (int, fun m -> m.seed)
+    |+ (int, fun m -> m.hot_threshold)
+    |+ (bool, fun m -> m.with_issue_queue)
+    |+ (bool, fun m -> m.bbv_prediction)
+    |+ (bool, fun m -> m.resilient)
+    |+ (option f64, fun m -> m.fault_rate)
+    |+ (int, fun m -> m.checkpoint_every)
+    |+ (option sample_config, fun m -> m.sample)
+    |> seal
 
-(* Observability sink state (format v2): metrics registry image, retained
-   ring events, drop count. *)
+  (* Observability sink state.  Events are the bulk of a Full-level
+     snapshot: their encoder is one [match] with no intermediate values. *)
 
-let enc_event e (ev : Obs.event) =
-  Enc.int e ev.Obs.ts;
-  match ev.Obs.kind with
-  | Obs.Phase_enter { id; name } ->
-      Enc.u8 e 0;
-      Enc.int e id;
-      Enc.str e name
-  | Obs.Phase_exit { id; ipc } ->
-      Enc.u8 e 1;
-      Enc.int e id;
-      Enc.f64 e ipc
-  | Obs.Hotspot_promoted { id; name } ->
-      Enc.u8 e 2;
-      Enc.int e id;
-      Enc.str e name
-  | Obs.Recompile { id } ->
-      Enc.u8 e 3;
-      Enc.int e id
-  | Obs.Trial_start { id; cfg } ->
-      Enc.u8 e 4;
-      Enc.int e id;
-      Enc.str e cfg
-  | Obs.Trial_result { id; cfg; energy; ipc } ->
-      Enc.u8 e 5;
-      Enc.int e id;
-      Enc.str e cfg;
-      Enc.f64 e energy;
-      Enc.f64 e ipc
-  | Obs.Burn_in { id; left } ->
-      Enc.u8 e 6;
-      Enc.int e id;
-      Enc.int e left
-  | Obs.Tuning_finished { id; best; tested } ->
-      Enc.u8 e 7;
-      Enc.int e id;
-      Enc.str e best;
-      Enc.int e tested
-  | Obs.Drift_sample { id; ipc; ref_ipc } ->
-      Enc.u8 e 8;
-      Enc.int e id;
-      Enc.f64 e ipc;
-      Enc.f64 e ref_ipc
-  | Obs.Retune { id; drift } ->
-      Enc.u8 e 9;
-      Enc.int e id;
-      Enc.f64 e drift
-  | Obs.Quarantine { id } ->
-      Enc.u8 e 10;
-      Enc.int e id
-  | Obs.Cu_failed { cu } ->
-      Enc.u8 e 11;
-      Enc.str e cu
-  | Obs.Cu_recovered { cu } ->
-      Enc.u8 e 12;
-      Enc.str e cu
-  | Obs.Reconfig { cu; label; flushed } ->
-      Enc.u8 e 13;
-      Enc.str e cu;
-      Enc.str e label;
-      Enc.int e flushed
-  | Obs.Fault { cu; what } ->
-      Enc.u8 e 14;
-      Enc.str e cu;
-      Enc.str e what
-  | Obs.Ckpt_capture { bytes } ->
-      Enc.u8 e 15;
-      Enc.int e bytes
-  | Obs.Ckpt_restore { instrs } ->
-      Enc.u8 e 16;
-      Enc.int e instrs
-  | Obs.Job_state { id; state } ->
-      Enc.u8 e 17;
-      Enc.int e id;
-      Enc.str e state
-  | Obs.Io_fault { op; path } ->
-      Enc.u8 e 18;
-      Enc.str e op;
-      Enc.str e path
-  | Obs.Phase_splice { id; instrs } ->
-      Enc.u8 e 19;
-      Enc.int e id;
-      Enc.int e instrs
+  let obs_kind =
+    variant "obs event"
+      (fun b -> function
+        | Obs.Phase_enter { id; name } -> tag b 0; int.enc b id; string.enc b name
+        | Phase_exit { id; ipc } -> tag b 1; int.enc b id; f64.enc b ipc
+        | Hotspot_promoted { id; name } -> tag b 2; int.enc b id; string.enc b name
+        | Recompile { id } -> tag b 3; int.enc b id
+        | Trial_start { id; cfg } -> tag b 4; int.enc b id; string.enc b cfg
+        | Trial_result { id; cfg; energy; ipc } ->
+            tag b 5; int.enc b id; string.enc b cfg; f64.enc b energy; f64.enc b ipc
+        | Burn_in { id; left } -> tag b 6; int.enc b id; int.enc b left
+        | Tuning_finished { id; best; tested } ->
+            tag b 7; int.enc b id; string.enc b best; int.enc b tested
+        | Drift_sample { id; ipc; ref_ipc } ->
+            tag b 8; int.enc b id; f64.enc b ipc; f64.enc b ref_ipc
+        | Retune { id; drift } -> tag b 9; int.enc b id; f64.enc b drift
+        | Quarantine { id } -> tag b 10; int.enc b id
+        | Cu_failed { cu } -> tag b 11; string.enc b cu
+        | Cu_recovered { cu } -> tag b 12; string.enc b cu
+        | Reconfig { cu; label; flushed } ->
+            tag b 13; string.enc b cu; string.enc b label; int.enc b flushed
+        | Fault { cu; what } -> tag b 14; string.enc b cu; string.enc b what
+        | Ckpt_capture { bytes } -> tag b 15; int.enc b bytes
+        | Ckpt_restore { instrs } -> tag b 16; int.enc b instrs
+        | Job_state { id; state } -> tag b 17; int.enc b id; string.enc b state
+        | Io_fault { op; path } -> tag b 18; string.enc b op; string.enc b path
+        | Phase_splice { id; instrs } -> tag b 19; int.enc b id; int.enc b instrs)
+      [|
+        (fun d -> let id = int.dec d in Obs.Phase_enter { id; name = string.dec d });
+        (fun d -> let id = int.dec d in Obs.Phase_exit { id; ipc = f64.dec d });
+        (fun d -> let id = int.dec d in Obs.Hotspot_promoted { id; name = string.dec d });
+        (fun d -> Obs.Recompile { id = int.dec d });
+        (fun d -> let id = int.dec d in Obs.Trial_start { id; cfg = string.dec d });
+        (fun d ->
+          let id = int.dec d in
+          let cfg = string.dec d in
+          let energy = f64.dec d in
+          Obs.Trial_result { id; cfg; energy; ipc = f64.dec d });
+        (fun d -> let id = int.dec d in Obs.Burn_in { id; left = int.dec d });
+        (fun d ->
+          let id = int.dec d in
+          let best = string.dec d in
+          Obs.Tuning_finished { id; best; tested = int.dec d });
+        (fun d ->
+          let id = int.dec d in
+          let ipc = f64.dec d in
+          Obs.Drift_sample { id; ipc; ref_ipc = f64.dec d });
+        (fun d -> let id = int.dec d in Obs.Retune { id; drift = f64.dec d });
+        (fun d -> Obs.Quarantine { id = int.dec d });
+        (fun d -> Obs.Cu_failed { cu = string.dec d });
+        (fun d -> Obs.Cu_recovered { cu = string.dec d });
+        (fun d ->
+          let cu = string.dec d in
+          let label = string.dec d in
+          Obs.Reconfig { cu; label; flushed = int.dec d });
+        (fun d -> let cu = string.dec d in Obs.Fault { cu; what = string.dec d });
+        (fun d -> Obs.Ckpt_capture { bytes = int.dec d });
+        (fun d -> Obs.Ckpt_restore { instrs = int.dec d });
+        (fun d -> let id = int.dec d in Obs.Job_state { id; state = string.dec d });
+        (fun d -> let op = string.dec d in Obs.Io_fault { op; path = string.dec d });
+        (fun d -> let id = int.dec d in Obs.Phase_splice { id; instrs = int.dec d });
+      |]
 
-let dec_event d : Obs.event =
-  let ts = Dec.int d in
-  let kind =
-    match Dec.u8 d with
-    | 0 ->
-        let id = Dec.int d in
-        Obs.Phase_enter { id; name = Dec.str d }
-    | 1 ->
-        let id = Dec.int d in
-        Obs.Phase_exit { id; ipc = Dec.f64 d }
-    | 2 ->
-        let id = Dec.int d in
-        Obs.Hotspot_promoted { id; name = Dec.str d }
-    | 3 -> Obs.Recompile { id = Dec.int d }
-    | 4 ->
-        let id = Dec.int d in
-        Obs.Trial_start { id; cfg = Dec.str d }
-    | 5 ->
-        let id = Dec.int d in
-        let cfg = Dec.str d in
-        let energy = Dec.f64 d in
-        Obs.Trial_result { id; cfg; energy; ipc = Dec.f64 d }
-    | 6 ->
-        let id = Dec.int d in
-        Obs.Burn_in { id; left = Dec.int d }
-    | 7 ->
-        let id = Dec.int d in
-        let best = Dec.str d in
-        Obs.Tuning_finished { id; best; tested = Dec.int d }
-    | 8 ->
-        let id = Dec.int d in
-        let ipc = Dec.f64 d in
-        Obs.Drift_sample { id; ipc; ref_ipc = Dec.f64 d }
-    | 9 ->
-        let id = Dec.int d in
-        Obs.Retune { id; drift = Dec.f64 d }
-    | 10 -> Obs.Quarantine { id = Dec.int d }
-    | 11 -> Obs.Cu_failed { cu = Dec.str d }
-    | 12 -> Obs.Cu_recovered { cu = Dec.str d }
-    | 13 ->
-        let cu = Dec.str d in
-        let label = Dec.str d in
-        Obs.Reconfig { cu; label; flushed = Dec.int d }
-    | 14 ->
-        let cu = Dec.str d in
-        Obs.Fault { cu; what = Dec.str d }
-    | 15 -> Obs.Ckpt_capture { bytes = Dec.int d }
-    | 16 -> Obs.Ckpt_restore { instrs = Dec.int d }
-    | 17 ->
-        let id = Dec.int d in
-        Obs.Job_state { id; state = Dec.str d }
-    | 18 ->
-        let op = Dec.str d in
-        Obs.Io_fault { op; path = Dec.str d }
-    | 19 ->
-        let id = Dec.int d in
-        Obs.Phase_splice { id; instrs = Dec.int d }
-    | n -> raise (Codec.Error (Printf.sprintf "bad obs event tag %d" n))
-  in
-  { Obs.ts; kind }
+  let event =
+    record (fun ts kind -> { Obs.ts; kind })
+    |+ (int, fun e -> e.Obs.ts)
+    |+ (obs_kind, fun e -> e.kind)
+    |> seal
 
-let enc_obs e (s : Obs.state) =
-  Enc.arr
-    (fun e (name, v) ->
-      Enc.str e name;
-      Enc.int e v)
-    e s.Obs.s_metrics.Obs.ms_counters;
-  Enc.arr
-    (fun e (name, v) ->
-      Enc.str e name;
-      Enc.f64 e v)
-    e s.Obs.s_metrics.Obs.ms_gauges;
-  Enc.arr
-    (fun e (name, bounds, counts, total, sum) ->
-      Enc.str e name;
-      Enc.f64_arr e bounds;
-      Enc.int_arr e counts;
-      Enc.int e total;
-      Enc.f64 e sum)
-    e s.Obs.s_metrics.Obs.ms_hists;
-  Enc.arr enc_event e s.Obs.s_events;
-  Enc.int e s.Obs.s_dropped
+  let histogram =
+    record (fun name bounds counts total sum -> (name, bounds, counts, total, sum))
+    |+ (string, fun (name, _, _, _, _) -> name)
+    |+ (f64_array, fun (_, bounds, _, _, _) -> bounds)
+    |+ (int_array, fun (_, _, counts, _, _) -> counts)
+    |+ (int, fun (_, _, _, total, _) -> total)
+    |+ (f64, fun (_, _, _, _, sum) -> sum)
+    |> seal
 
-let dec_obs d : Obs.state =
-  let ms_counters =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        (name, Dec.int d))
-      d
-  in
-  let ms_gauges =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        (name, Dec.f64 d))
-      d
-  in
-  let ms_hists =
-    Dec.arr
-      (fun d ->
-        let name = Dec.str d in
-        let bounds = Dec.f64_arr d in
-        let counts = Dec.int_arr d in
-        let total = Dec.int d in
-        (name, bounds, counts, total, Dec.f64 d))
-      d
-  in
-  let s_events = Dec.arr dec_event d in
-  let s_dropped = Dec.int d in
-  { Obs.s_metrics = { Obs.ms_counters; ms_gauges; ms_hists }; s_events; s_dropped }
+  let metrics =
+    record (fun ms_counters ms_gauges ms_hists -> { Obs.ms_counters; ms_gauges; ms_hists })
+    |+ (array (pair string int), fun m -> m.Obs.ms_counters)
+    |+ (array (pair string f64), fun m -> m.ms_gauges)
+    |+ (array histogram, fun m -> m.ms_hists)
+    |> seal
 
-(* Phase-statistics sampler image (format v4: keys may be behaviour
-   clusters, statistics are CPI-normalized, and the learned per-method
-   invocation lengths, header-to-cluster map and blocked-reason counters
-   ride along). *)
+  let obs =
+    record (fun s_metrics s_events s_dropped -> { Obs.s_metrics; s_events; s_dropped })
+    |+ (metrics, fun s -> s.Obs.s_metrics)
+    |+ (array event, fun s -> s.s_events)
+    |+ (int, fun s -> s.s_dropped)
+    |> seal
 
-let enc_key e (k : Sample.key) =
-  match k with
-  | Sample.K_meth m ->
-      Enc.u8 e 0;
-      Enc.int e m
-  | Sample.K_cluster c ->
-      Enc.u8 e 1;
-      Enc.int e c
+  (* Phase-statistics sampler image. *)
 
-let dec_key d =
-  match Dec.u8 d with
-  | 0 -> Sample.K_meth (Dec.int d)
-  | 1 -> Sample.K_cluster (Dec.int d)
-  | n -> raise (Codec.Error (Printf.sprintf "bad sample key tag %d" n))
+  let key =
+    variant "sample key"
+      (fun b -> function
+        | Sample.K_meth m -> tag b 0; int.enc b m
+        | K_cluster c -> tag b 1; int.enc b c)
+      [|
+        (fun d -> Sample.K_meth (int.dec d));
+        (fun d -> Sample.K_cluster (int.dec d));
+      |]
 
-let enc_int_pairs e a =
-  Enc.arr
-    (fun e (x, y) ->
-      Enc.int e x;
-      Enc.int e y)
-    e a
+  let hw_sig =
+    record (fun hs_l1d_bytes hs_l2_bytes hs_ilp_bits hs_exposure_bits ->
+        { Sample.hs_l1d_bytes; hs_l2_bytes; hs_ilp_bits; hs_exposure_bits })
+    |+ (int, fun s -> s.Sample.hs_l1d_bytes)
+    |+ (int, fun s -> s.hs_l2_bytes)
+    |+ (i64, fun s -> s.hs_ilp_bits)
+    |+ (i64, fun s -> s.hs_exposure_bits)
+    |> seal
 
-let dec_int_pairs d =
-  Dec.arr
-    (fun d ->
-      let x = Dec.int d in
-      let y = Dec.int d in
-      (x, y))
-    d
+  let phase_entry =
+    record (fun pe_key pe_sig pe_instrs pe_seen pe_cpi_sum pe_cpi_sumsq pe_counts
+        pe_counts_instrs pe_poisoned pe_since_measure ->
+        { Sample.pe_key; pe_sig; pe_instrs; pe_seen; pe_cpi_sum; pe_cpi_sumsq; pe_counts;
+          pe_counts_instrs; pe_poisoned; pe_since_measure })
+    |+ (key, fun e -> e.Sample.pe_key)
+    |+ (hw_sig, fun e -> e.pe_sig)
+    |+ (int, fun e -> e.pe_instrs)
+    |+ (int, fun e -> e.pe_seen)
+    |+ (f64, fun e -> e.pe_cpi_sum)
+    |+ (f64, fun e -> e.pe_cpi_sumsq)
+    |+ (counts, fun e -> e.pe_counts)
+    |+ (int, fun e -> e.pe_counts_instrs)
+    |+ (bool, fun e -> e.pe_poisoned)
+    |+ (int, fun e -> e.pe_since_measure)
+    |> seal
 
-let enc_hw_sig e (s : Sample.hw_sig) =
-  Enc.int e s.Sample.hs_l1d_bytes;
-  Enc.int e s.Sample.hs_l2_bytes;
-  Enc.i64 e s.Sample.hs_ilp_bits;
-  Enc.i64 e s.Sample.hs_exposure_bits
+  let obs_frame =
+    record (fun os_meth os_key os_sig os_instrs0 os_cycles0 os_counts0 os_resizes0
+        os_dirty ->
+        { Sample.os_meth; os_key; os_sig; os_instrs0; os_cycles0; os_counts0; os_resizes0;
+          os_dirty })
+    |+ (int, fun o -> o.Sample.os_meth)
+    |+ (key, fun o -> o.os_key)
+    |+ (hw_sig, fun o -> o.os_sig)
+    |+ (int, fun o -> o.os_instrs0)
+    |+ (f64, fun o -> o.os_cycles0)
+    |+ (counts, fun o -> o.os_counts0)
+    |+ (int, fun o -> o.os_resizes0)
+    |+ (bool, fun o -> o.os_dirty)
+    |> seal
 
-let dec_hw_sig d =
-  let hs_l1d_bytes = Dec.int d in
-  let hs_l2_bytes = Dec.int d in
-  let hs_ilp_bits = Dec.i64 d in
-  let hs_exposure_bits = Dec.i64 d in
-  { Sample.hs_l1d_bytes; hs_l2_bytes; hs_ilp_bits; hs_exposure_bits }
+  let sample_state =
+    record (fun s_entries s_meth_instrs s_cluster_of_meth s_open s_fault_events0
+        s_ff_instrs_active s_observations s_splices s_spliced_instrs s_blocked_quiescence
+        s_blocked_unsettled s_blocked_open_obs s_blocked_poisoned ->
+        { Sample.s_entries; s_meth_instrs; s_cluster_of_meth; s_open; s_fault_events0;
+          s_ff_instrs_active; s_observations; s_splices; s_spliced_instrs;
+          s_blocked_quiescence; s_blocked_unsettled; s_blocked_open_obs;
+          s_blocked_poisoned })
+    |+ (array phase_entry, fun s -> s.Sample.s_entries)
+    |+ (array (pair int int), fun s -> s.s_meth_instrs)
+    |+ (array (pair int int), fun s -> s.s_cluster_of_meth)
+    |+ (array obs_frame, fun s -> s.s_open)
+    |+ (int, fun s -> s.s_fault_events0)
+    |+ (int, fun s -> s.s_ff_instrs_active)
+    |+ (int, fun s -> s.s_observations)
+    |+ (int, fun s -> s.s_splices)
+    |+ (int, fun s -> s.s_spliced_instrs)
+    |+ (int, fun s -> s.s_blocked_quiescence)
+    |+ (int, fun s -> s.s_blocked_unsettled)
+    |+ (int, fun s -> s.s_blocked_open_obs)
+    |+ (int, fun s -> s.s_blocked_poisoned)
+    |> seal
 
-let enc_sample_state e (s : Sample.state) =
-  Enc.arr
-    (fun e (pe : Sample.phase_entry_state) ->
-      enc_key e pe.Sample.pe_key;
-      enc_hw_sig e pe.Sample.pe_sig;
-      Enc.int e pe.Sample.pe_instrs;
-      Enc.int e pe.Sample.pe_seen;
-      Enc.f64 e pe.Sample.pe_cpi_sum;
-      Enc.f64 e pe.Sample.pe_cpi_sumsq;
-      enc_counts e pe.Sample.pe_counts;
-      Enc.int e pe.Sample.pe_counts_instrs;
-      Enc.bool e pe.Sample.pe_poisoned;
-      Enc.int e pe.Sample.pe_since_measure)
-    e s.Sample.s_entries;
-  enc_int_pairs e s.Sample.s_meth_instrs;
-  enc_int_pairs e s.Sample.s_cluster_of_meth;
-  Enc.arr
-    (fun e (os : Sample.obs_frame_state) ->
-      Enc.int e os.Sample.os_meth;
-      enc_key e os.Sample.os_key;
-      enc_hw_sig e os.Sample.os_sig;
-      Enc.int e os.Sample.os_instrs0;
-      Enc.f64 e os.Sample.os_cycles0;
-      enc_counts e os.Sample.os_counts0;
-      Enc.int e os.Sample.os_resizes0;
-      Enc.bool e os.Sample.os_dirty)
-    e s.Sample.s_open;
-  Enc.int e s.Sample.s_fault_events0;
-  Enc.int e s.Sample.s_ff_instrs_active;
-  Enc.int e s.Sample.s_observations;
-  Enc.int e s.Sample.s_splices;
-  Enc.int e s.Sample.s_spliced_instrs;
-  Enc.int e s.Sample.s_blocked_quiescence;
-  Enc.int e s.Sample.s_blocked_unsettled;
-  Enc.int e s.Sample.s_blocked_open_obs;
-  Enc.int e s.Sample.s_blocked_poisoned
-
-let dec_sample_state d =
-  let s_entries =
-    Dec.arr
-      (fun d ->
-        let pe_key = dec_key d in
-        let pe_sig = dec_hw_sig d in
-        let pe_instrs = Dec.int d in
-        let pe_seen = Dec.int d in
-        let pe_cpi_sum = Dec.f64 d in
-        let pe_cpi_sumsq = Dec.f64 d in
-        let pe_counts = dec_counts d in
-        let pe_counts_instrs = Dec.int d in
-        let pe_poisoned = Dec.bool d in
-        let pe_since_measure = Dec.int d in
-        {
-          Sample.pe_key;
-          pe_sig;
-          pe_instrs;
-          pe_seen;
-          pe_cpi_sum;
-          pe_cpi_sumsq;
-          pe_counts;
-          pe_counts_instrs;
-          pe_poisoned;
-          pe_since_measure;
-        })
-      d
-  in
-  let s_meth_instrs = dec_int_pairs d in
-  let s_cluster_of_meth = dec_int_pairs d in
-  let s_open =
-    Dec.arr
-      (fun d ->
-        let os_meth = Dec.int d in
-        let os_key = dec_key d in
-        let os_sig = dec_hw_sig d in
-        let os_instrs0 = Dec.int d in
-        let os_cycles0 = Dec.f64 d in
-        let os_counts0 = dec_counts d in
-        let os_resizes0 = Dec.int d in
-        let os_dirty = Dec.bool d in
-        {
-          Sample.os_meth;
-          os_key;
-          os_sig;
-          os_instrs0;
-          os_cycles0;
-          os_counts0;
-          os_resizes0;
-          os_dirty;
-        })
-      d
-  in
-  let s_fault_events0 = Dec.int d in
-  let s_ff_instrs_active = Dec.int d in
-  let s_observations = Dec.int d in
-  let s_splices = Dec.int d in
-  let s_spliced_instrs = Dec.int d in
-  let s_blocked_quiescence = Dec.int d in
-  let s_blocked_unsettled = Dec.int d in
-  let s_blocked_open_obs = Dec.int d in
-  let s_blocked_poisoned = Dec.int d in
-  {
-    Sample.s_entries;
-    s_meth_instrs;
-    s_cluster_of_meth;
-    s_open;
-    s_fault_events0;
-    s_ff_instrs_active;
-    s_observations;
-    s_splices;
-    s_spliced_instrs;
-    s_blocked_quiescence;
-    s_blocked_unsettled;
-    s_blocked_open_obs;
-    s_blocked_poisoned;
-  }
-
-let enc_snapshot e t =
-  enc_meta e t.meta;
-  enc_engine e t.engine;
-  Enc.opt enc_faults e t.faults;
-  (match t.scheme_state with
-  | S_baseline -> Enc.u8 e 0
-  | S_hotspot fw ->
-      Enc.u8 e 1;
-      enc_framework e fw
-  | S_bbv sch ->
-      Enc.u8 e 2;
-      enc_bbv e sch);
-  Enc.opt enc_obs e t.obs;
-  Enc.opt enc_sample_state e t.sample_state
-
-let dec_snapshot d =
-  let meta = dec_meta d in
-  let engine = dec_engine d in
-  let faults = Dec.opt dec_faults d in
   let scheme_state =
-    match Dec.u8 d with
-    | 0 -> S_baseline
-    | 1 -> S_hotspot (dec_framework d)
-    | 2 -> S_bbv (dec_bbv d)
-    | n -> raise (Codec.Error (Printf.sprintf "bad scheme state tag %d" n))
-  in
-  let obs = Dec.opt dec_obs d in
-  let sample_state = Dec.opt dec_sample_state d in
-  if not (Dec.at_end d) then
-    raise (Codec.Error (Printf.sprintf "%d trailing bytes" (Dec.remaining d)));
-  { meta; engine; faults; scheme_state; obs; sample_state }
+    variant "scheme state"
+      (fun b -> function
+        | S_baseline -> tag b 0
+        | S_hotspot fw -> tag b 1; framework.enc b fw
+        | S_bbv sch -> tag b 2; bbv.enc b sch)
+      [|
+        (fun _ -> S_baseline);
+        (fun d -> S_hotspot (framework.dec d));
+        (fun d -> S_bbv (bbv.dec d));
+      |]
+
+  let snapshot =
+    record (fun meta engine faults scheme_state obs sample_state ->
+        { meta; engine; faults; scheme_state; obs; sample_state })
+    |+ (meta, fun t -> t.meta)
+    |+ (engine, fun t -> t.engine)
+    |+ (option faults, fun t -> t.faults)
+    |+ (scheme_state, fun t -> t.scheme_state)
+    |+ (option obs, fun t -> t.obs)
+    |+ (option sample_state, fun t -> t.sample_state)
+    |> seal
+end
+
+(* Built on first use: a program that never checkpoints should not carry
+   the codecs' closures in its heap. *)
+let payload = Codec.delay (fun () -> let module P = Payload () in P.snapshot)
 
 (* {2 Container format}
 
@@ -1305,22 +706,28 @@ let version = 4
    per-method instruction lengths, cluster map, blocked counters. *)
 let header_len = 8 + 2 + 8 + 8
 
-let encode t =
-  let e = Enc.create () in
-  enc_snapshot e t;
-  let payload = Enc.contents e in
-  let crc = Crc32.string payload in
-  let h = Buffer.create (header_len + String.length payload) in
-  Buffer.add_string h magic;
-  Buffer.add_uint16_le h version;
-  Buffer.add_int64_le h (Int64.of_int (String.length payload));
-  Buffer.add_int64_le h (Int64.of_int crc);
-  Buffer.add_string h payload;
-  Buffer.contents h
+(* The payload is encoded straight after a placeholder header, which is
+   filled in once the payload's length and CRC are known: one full copy out
+   of the buffer, and [write] uses those bytes as they are. *)
+let encode_bytes t =
+  let b = Buffer.create 65536 in
+  Buffer.add_string b magic;
+  Buffer.add_uint16_le b version;
+  Buffer.add_int64_le b 0L;
+  Buffer.add_int64_le b 0L;
+  payload.enc b t;
+  let data = Buffer.to_bytes b in
+  let len = Bytes.length data - header_len in
+  let crc = Crc32.update 0 (Bytes.unsafe_to_string data) ~pos:header_len ~len in
+  Bytes.set_int64_le data 10 (Int64.of_int len);
+  Bytes.set_int64_le data 18 (Int64.of_int crc);
+  data
+
+let encode t = Bytes.unsafe_to_string (encode_bytes t)
 
 let decode s =
-  if String.length s < header_len then
-    raise (Error (Truncated { expected = header_len; got = String.length s }));
+  let got = String.length s in
+  if got < header_len then raise (Error (Truncated { expected = header_len; got }));
   if String.sub s 0 8 <> magic then raise (Error Bad_magic);
   let v = Char.code s.[8] lor (Char.code s.[9] lsl 8) in
   if v <> version then
@@ -1330,22 +737,19 @@ let decode s =
     raise (Error (Malformed (Printf.sprintf "negative payload length %d" payload_len)));
   (* Fewer bytes than declared is the torn-write signature; more bytes is a
      structurally impossible container. *)
-  if String.length s < header_len + payload_len then
-    raise
-      (Error
-         (Truncated { expected = header_len + payload_len; got = String.length s }));
-  if String.length s > header_len + payload_len then
+  if got < header_len + payload_len then
+    raise (Error (Truncated { expected = header_len + payload_len; got }));
+  if got > header_len + payload_len then
     raise
       (Error
          (Malformed
             (Printf.sprintf "payload length %d does not match file size %d"
-               payload_len (String.length s))));
+               payload_len got)));
   let crc_stored = Int64.to_int (String.get_int64_le s 18) in
-  let payload = String.sub s header_len payload_len in
-  let crc = Crc32.string payload in
+  let crc = Crc32.update 0 s ~pos:header_len ~len:payload_len in
   if crc <> crc_stored then
     raise (Error (Crc_mismatch { stored = crc_stored; computed = crc }));
-  try dec_snapshot (Dec.create payload)
+  try Codec.decode_string payload ~pos:header_len s
   with Codec.Error msg -> raise (Error (Malformed msg))
 
 (* {2 File I/O} *)
@@ -1353,7 +757,7 @@ let decode s =
 let fallback_path path = path ^ ".1"
 
 let write ?(io = Io.real) ?(faults = Faults.none) ?(obs = Obs.null) ~path t =
-  let data = Bytes.of_string (encode t) in
+  let data = encode_bytes t in
   (* Storage-channel fault injection damages the bytes on their way to disk;
      the CRC then refuses them at read time and the reader falls back. *)
   ignore (Faults.maybe_corrupt_snapshot faults data);

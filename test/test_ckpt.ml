@@ -139,13 +139,25 @@ let test_read_truncated_file () =
   expect_truncated "half-written file";
   cleanup path
 
+let read_golden name =
+  let ic = open_in_bin name in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  data
+
+(* The codec is proven unchanged by re-encoding: decoding a committed golden
+   and encoding the result must give back the same bytes.  Decoding alone
+   would miss a field swapped consistently in both directions. *)
+let check_reencodes name =
+  let data = read_golden name in
+  if Snapshot.encode (Snapshot.decode data) <> data then
+    Alcotest.failf "%s: encode (decode golden) differs from golden" name
+
 let test_golden_snapshot () =
   (* A committed snapshot from an older build must keep decoding: the format
      is versioned, so any layout change has to bump Snapshot.version (which
      makes this test fail until the golden file is regenerated). *)
-  let ic = open_in_bin "golden.snap" in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let data = read_golden "golden.snap" in
   let s = Snapshot.decode data in
   Alcotest.(check string) "workload" "compress" s.Snapshot.meta.Snapshot.workload;
   Alcotest.(check bool) "hotspot scheme" true
@@ -153,6 +165,73 @@ let test_golden_snapshot () =
   Alcotest.(check bool) "mid-run position" true (s.Snapshot.engine.Ace_vm.Engine.s_instrs > 0);
   expect_error ~what:"bumped-version golden" (patch data 8 (fun c -> c + 1));
   expect_error ~what:"corrupted golden" (patch data 60 (fun c -> c lxor 0x20))
+
+let test_golden_reencodes () = check_reencodes "golden.snap"
+
+(* The encoder allocates nothing per field or element; only the buffer's
+   growth and the final copy allocate, and those are large enough to go
+   straight to the major heap.  (Boxing one int64 per field cost 0.355 minor
+   words per byte.) *)
+let test_encode_allocation () =
+  let snap = Snapshot.decode (read_golden "golden.snap") in
+  let bytes = String.length (Snapshot.encode snap) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 5 do
+    ignore (Snapshot.encode snap)
+  done;
+  let per_byte = (Gc.minor_words () -. w0) /. float_of_int (5 * bytes) in
+  if per_byte >= 0.01 then
+    Alcotest.failf "encode allocates %g minor words per byte" per_byte
+
+(* The second golden pins what golden.snap leaves out: the BBV scheme,
+   fault injector state, sampler state and meta.sample. *)
+let test_golden_bbv () =
+  let data = read_golden "golden_bbv.snap" in
+  let s = Snapshot.decode data in
+  let m = s.Snapshot.meta in
+  Alcotest.(check string) "workload" "compress" m.Snapshot.workload;
+  Alcotest.(check bool) "bbv scheme" true (m.Snapshot.scheme = Snapshot.Bbv);
+  Alcotest.(check bool) "sampling config" true
+    (m.Snapshot.sample = Some Ace_sample.Sample.default_config);
+  Alcotest.(check bool) "fault rate" true (m.Snapshot.fault_rate = Some 0.02);
+  Alcotest.(check bool) "faults captured" true (s.Snapshot.faults <> None);
+  Alcotest.(check bool) "sample state captured" true
+    (s.Snapshot.sample_state <> None);
+  Alcotest.(check bool) "bbv state" true
+    (match s.Snapshot.scheme_state with Snapshot.S_bbv _ -> true | _ -> false);
+  check_reencodes "golden_bbv.snap"
+
+(* A container around an arbitrary payload, with a correct header and CRC,
+   so that decoding reaches the payload decoder's own checks. *)
+let wrap payload =
+  let b = Buffer.create (26 + String.length payload) in
+  Buffer.add_string b "ACESNAP1";
+  Buffer.add_uint16_le b Snapshot.version;
+  Buffer.add_int64_le b (Int64.of_int (String.length payload));
+  Buffer.add_int64_le b (Int64.of_int (Ace_util.Crc32.string payload));
+  Buffer.add_string b payload;
+  Buffer.contents b
+
+(* Damage that passes the CRC: a few random bytes overwritten, then the
+   payload optionally cut short.  The decoder must either accept the result
+   or refuse it as [Malformed] — never raise anything else. *)
+let prop_malformed_payload name ~count =
+  let payload = lazy (let d = read_golden name in String.sub d 26 (String.length d - 26)) in
+  QCheck.Test.make ~count
+    ~name:(Printf.sprintf "%s: damaged payload is decoded or Malformed" name)
+    QCheck.(
+      pair
+        (list_of_size Gen.(1 -- 8) (pair (int_bound max_int) (int_bound 255)))
+        (option (int_bound max_int)))
+    (fun (edits, cut) ->
+      let p = Bytes.of_string (Lazy.force payload) in
+      let n = Bytes.length p in
+      List.iter (fun (pos, v) -> Bytes.set p (pos mod n) (Char.chr v)) edits;
+      let len = match cut with None -> n | Some c -> c mod n in
+      match Snapshot.decode (wrap (Bytes.sub_string p 0 len)) with
+      | _ | (exception Snapshot.Error (Snapshot.Malformed _)) -> true
+      | exception e ->
+          QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let test_write_rotates_and_falls_back () =
   let path = tmp_path () in
@@ -279,4 +358,9 @@ let suite =
     Tu.slow_case "determinism oracle: bbv" test_oracle_bbv;
     Tu.slow_case "determinism oracle: hotspot+faults" test_oracle_hotspot_faulty;
     Tu.slow_case "chaos soak survives 20 kill/resume cycles" test_chaos_soak;
+    Tu.case "golden snapshot re-encodes byte for byte" test_golden_reencodes;
+    Tu.case "bbv/faults/sampler golden decodes and re-encodes" test_golden_bbv;
+    Tu.case "snapshot encode allocates nothing per field" test_encode_allocation;
+    Tu.qcheck (prop_malformed_payload "golden.snap" ~count:1000);
+    Tu.qcheck (prop_malformed_payload "golden_bbv.snap" ~count:1500);
   ]
