@@ -459,8 +459,8 @@ let exp_cmd =
           ~seeds:(List.init seeds (fun i -> i + 1))
           ()
       in
-      print_string (Ace_serve.Torture.render tallies);
-      if Ace_serve.Torture.total_violations tallies > 0 then exit 1
+      print_string (Ace_harness.Crash.render "torture" tallies);
+      if Ace_harness.Crash.total_violations tallies > 0 then exit 1
     end
     else
     let ctx =
@@ -474,6 +474,8 @@ let exp_cmd =
       Ace_util.Table.print tbl;
       print_newline ()
     in
+    (* Like torture's, soak's exit status is its gate: 1 on any "NO" row. *)
+    let failed = ref false in
     (if id = "all" || id = "paper" then
        List.iter print (Ace_harness.Experiments.all ctx)
      else
@@ -496,11 +498,15 @@ let exp_cmd =
          | "resilience" -> Ace_harness.Experiments.resilience ctx
          | "stability" -> Ace_harness.Experiments.stability ctx
          | "sample-accuracy" -> Ace_harness.Experiments.sample_accuracy ctx
-         | "soak" -> Ace_harness.Experiments.soak ctx
+         | "soak" ->
+             let tbl, reports = Ace_harness.Experiments.soak ctx in
+             failed := Ace_harness.Crash.total_violations reports > 0;
+             tbl
          | _ -> assert false
        in
        print (id, tbl));
-    Ace_harness.Experiments.shutdown ctx
+    Ace_harness.Experiments.shutdown ctx;
+    if !failed then exit 1
   in
   let info =
     Cmd.info "exp"

@@ -849,9 +849,10 @@ let stability t =
   tbl
 
 (* Chaos-soak supervisor: kill/resume each scheme under 1% faults and check
-   the survivor's table against the uninterrupted baseline.  Not part of
-   [all] — it is a robustness check of the checkpoint subsystem, not one of
-   the paper's tables. *)
+   the survivor against the uninterrupted run.  Not part of [all] — it is a
+   robustness check of the checkpoint subsystem, not one of the paper's
+   tables.  Each scheme's soak runs on its own in-memory filesystem, so the
+   pool jobs share nothing. *)
 let soak ?(cycles = 20) t =
   let tbl =
     Table.create
@@ -871,44 +872,36 @@ let soak ?(cycles = 20) t =
     | Some w -> w
     | None -> List.hd t.workloads
   in
-  (* Temp paths are allocated up front on the calling domain
-     ([Filename.temp_file] draws from a process-global PRNG), then each
-     scheme's kill/resume soak — a disjoint set of snapshot files — runs as
-     one pool job.  The cleanup guard removes every snapshot family member
-     (including in-flight [.tmp] files and the uninterrupted [.baseline]
-     runs') even when a soak raises mid-cycle. *)
-  let schemes = [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ] in
   let soaks =
-    Ace_util.Scratch.with_temp_snapshots ~prefix:"ace_soak"
-      ~also:(fun p -> Ace_util.Scratch.snapshot_family (p ^ ".baseline"))
-      (List.length schemes)
-      (fun paths ->
-        pool_map t
-          (fun (scheme, path) ->
-            let r =
-              Soak.chaos_soak ~scale:t.scale ~seed:t.seed ~fault_rate:0.01
-                ~cycles
-                ~checkpoint_every:
-                  (max 1 (int_of_float (float_of_int 2_000_000 *. t.scale)))
-                ~path w scheme
-            in
-            (scheme, r))
-          (List.combine schemes paths))
+    pool_map t
+      (fun scheme ->
+        ( scheme,
+          Crash.kill ~cycles
+            {
+              Crash.workload = w;
+              scheme;
+              scale = t.scale;
+              seed = t.seed;
+              fault_rate = Some 0.01;
+              checkpoint_every =
+                max 1 (int_of_float (float_of_int 2_000_000 *. t.scale));
+            } ))
+      [ Scheme.Fixed_baseline; Scheme.Hotspot; Scheme.Bbv ]
   in
   List.iter
-    (fun (scheme, r) ->
+    (fun (scheme, (r : Crash.report)) ->
       Table.add_row tbl
         [
           w.Workload.name;
           Scheme.name scheme;
-          string_of_int r.Soak.kills;
-          string_of_int r.Soak.restarts;
-          string_of_int r.Soak.fallbacks;
-          string_of_int r.Soak.snapshots_corrupted;
-          (if r.Soak.matched then "yes" else "NO");
+          string_of_int r.points;
+          string_of_int r.scratch;
+          string_of_int r.fallback;
+          string_of_int r.corrupted;
+          (if r.violations = [] then "yes" else "NO");
         ])
     soaks;
-  tbl
+  (tbl, List.map snd soaks)
 
 (* Sampled vs full simulation, per benchmark and scheme: headline accuracy
    (energy, cycles) plus the exactness the design guarantees (instruction

@@ -113,11 +113,12 @@ val sample_accuracy : t -> Ace_util.Table.t
     speedup is measured by [bench/main.exe --sample-json] instead.  Not
     included in {!all}. *)
 
-val soak : ?cycles:int -> t -> Ace_util.Table.t
-(** {!Soak.chaos_soak} on one benchmark under every scheme: [cycles]
+val soak : ?cycles:int -> t -> Ace_util.Table.t * Crash.report list
+(** {!Crash.kill} on one benchmark under every scheme: [cycles]
     (default 20) seeded kill/resume rounds at 1% injected faults, including
-    storage-channel snapshot corruption.  The "Tables match" column must
-    read "yes" on every row.  Not included in {!all}. *)
+    storage-channel snapshot corruption.  Returns the table and the reports
+    behind its rows; the "Tables match" column reads "NO" exactly on the
+    rows whose report has violations.  Not included in {!all}. *)
 
 (** {2 Aggregates (used by benches and tests)} *)
 

@@ -249,7 +249,7 @@ let capture t =
                     h.h_sum ))
                 t.hists;
           };
-        s_events = Array.of_list (events t);
+        s_events = Array.init t.len (fun i -> t.buf.((t.start + i) mod t.cap));
         s_dropped = t.n_dropped;
       }
 

@@ -1,157 +1,31 @@
 module Io = Ace_util.Io
-module Mem = Ace_util.Io.Mem
-module Table = Ace_util.Table
+module Crash = Ace_harness.Crash
 module Run = Ace_harness.Run
 module Render = Ace_harness.Render
 module Scheme = Ace_harness.Scheme
-
-(* Crash-point enumeration: record every mutating filesystem operation a
-   durable workflow performs, then re-run it once per (operation, crash
-   mode) pair with a backend that kills the "process" exactly there, run
-   the real recovery path, and assert the durability invariants.  Unlike
-   the chaos kill tests (which sample random kill points), this visits
-   every write/fsync/rename boundary — nothing is left to luck. *)
-
-type tally = {
-  scenario : string;
-  seed : int;
-  mutable points : int;
-  mutable torn : int;
-  mutable primary : int;  (** Recoveries that resumed the newest snapshot. *)
-  mutable fallback : int;  (** Recoveries that fell back to the rotation. *)
-  mutable scratch : int;  (** Recoveries that restarted from nothing. *)
-  mutable absent : int;
-      (** Spool crash points before the job was acknowledged: the job is
-          legitimately gone (the client never saw [Accepted]). *)
-  mutable violations : string list;
-}
 
 let default_workload = "jess"
 let default_scale = 0.05
 let default_checkpoint_every = 2_000_000
 
-let new_tally scenario seed =
-  {
-    scenario;
-    seed;
-    points = 0;
-    torn = 0;
-    primary = 0;
-    fallback = 0;
-    scratch = 0;
-    absent = 0;
-    violations = [];
-  }
-
-let violation t fmt =
-  Printf.ksprintf
-    (fun msg ->
-      t.violations <-
-        Printf.sprintf "%s seed %d: %s" t.scenario t.seed msg :: t.violations)
-    fmt
-
-(* Every op index under both crash modes; a crash landing on a write also
-   gets the torn variant (half the data reaches the disk first).  Torn
-   only composes with [`Keep]: under [`Drop] the un-synced torn prefix
-   vanishes anyway, collapsing into the plain case. *)
-let crash_plans ops =
-  List.concat
-    (List.mapi
-       (fun k (op : Io.op) ->
-         (k, `Drop, false) :: (k, `Keep, false)
-         ::
-         (if op.Io.op_kind = Io.Op_write then [ (k, `Keep, true) ] else []))
-       (Array.to_list ops))
-
-let describe_point ops k mode torn =
-  let op = ops.(k) in
-  Printf.sprintf "crash at op %d (%s %s, %s%s)" k
-    (Io.op_kind_name op.Io.op_kind)
-    op.Io.op_path
-    (match mode with `Drop -> "drop" | `Keep -> "keep")
-    (if torn then ", torn" else "")
-
-(* -- scenario A: the snapshot chain --------------------------------- *)
-
-let snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
-  ignore workload;
-  let t = new_tally "snapshot" seed in
-  let path = "/snaps/job.snap" in
-  let run io =
-    Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
-      Scheme.Hotspot
-  in
-  let rio, ops = Io.recording (Mem.io (Mem.create ())) in
-  (match run rio with
-  | Run.Completed _ -> ()
-  | Run.Killed_at _ -> assert false);
-  let ops = ops () in
-  List.iter
-    (fun (k, mode, torn) ->
-      t.points <- t.points + 1;
-      if torn then t.torn <- t.torn + 1;
-      let where = describe_point ops k mode torn in
-      let fs = Mem.create () in
-      (match run (Io.crash_at ~at:k ~torn (Mem.io fs)) with
-      | exception Io.Crashed -> ()
-      | _ -> violation t "%s: run finished without crashing" where);
-      Mem.crash mode fs;
-      let io = Mem.io fs in
-      match
-        let output =
-          match Run.resume_run ~io ~path () with
-          | Some (Run.Completed r, `Primary) ->
-              t.primary <- t.primary + 1;
-              Render.run_output r
-          | Some (Run.Completed r, `Fallback) ->
-              t.fallback <- t.fallback + 1;
-              Render.run_output r
-          | Some (Run.Killed_at _, _) -> assert false
-          | None -> (
-              (* Neither generation survived — legal only near the very
-                 first capture, before a full snapshot ever landed. *)
-              t.scratch <- t.scratch + 1;
-              match run io with
-              | Run.Completed r -> Render.run_output r
-              | Run.Killed_at _ -> assert false)
-        in
-        output
-      with
-      | output ->
-          if output <> gold then
-            violation t "%s: recovered output differs from uninterrupted run"
-              where
-      | exception e ->
-          violation t "%s: recovery raised %s" where (Printexc.to_string e))
-    (crash_plans ops);
-  (* The whole reason the rotation exists: a scratch restart must be the
-     rare case, not the common one. *)
-  if t.primary + t.fallback = 0 then
-    violation t "no crash point ever resumed from a snapshot";
-  t
-
-(* -- scenario B: the spool job lifecycle ---------------------------- *)
-
-let lifecycle ~io ~dir ~scale ~checkpoint_every ~seed ~workload w =
-  Spool.ensure_dir ~io dir;
-  let spec = Protocol.job_spec ~scale ~seed ~workload Scheme.Hotspot in
-  Spool.write_spec ~io ~dir 1 spec;
-  let path = Spool.snap_path ~dir 1 in
-  (match
-     Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
-       Scheme.Hotspot
-   with
-  | Run.Completed r -> Spool.write_result ~io ~dir 1 (Render.run_output r)
-  | Run.Killed_at _ -> assert false);
-  Spool.clear_snapshots ~io ~dir 1
-
-let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
-  let t = new_tally "spool" seed in
+(* The spool job lifecycle: admit the spec, run checkpointed, publish the
+   result, clear the snapshots.  Every crash point lands somewhere in
+   here; recovery is what a restarted daemon does. *)
+let spool_scenario ~gold (j : Crash.job) =
+  let t = Crash.report "spool" j.seed in
   let dir = "/spool" in
-  let run io = lifecycle ~io ~dir ~scale ~checkpoint_every ~seed ~workload w in
-  let rio, ops = Io.recording (Mem.io (Mem.create ())) in
-  run rio;
-  let ops = ops () in
+  let path = Spool.snap_path ~dir 1 in
+  let run io =
+    Spool.ensure_dir ~io dir;
+    Spool.write_spec ~io ~dir 1
+      (Protocol.job_spec ~scale:j.scale ~seed:j.seed
+         ~workload:j.workload.Ace_workloads.Workload.name j.scheme);
+    (match Crash.start ~io ~path j with
+    | Run.Completed r -> Spool.write_result ~io ~dir 1 (Render.run_output r)
+    | Run.Killed_at _ -> assert false);
+    Spool.clear_snapshots ~io ~dir 1
+  in
+  let ops = Crash.record run in
   (* The job exists, durably, the moment its spec file is renamed into
      place — that rename is what Submit's [Accepted] reply stands on. *)
   let ack =
@@ -167,89 +41,47 @@ let spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w =
     assert (!found >= 0);
     !found
   in
-  let finish_pending t io where =
-    (* What a restarted daemon's worker does with a recovered pending job:
-       resume from its snapshot chain if any generation is intact,
-       restart it from the spec otherwise, then settle. *)
-    let path = Spool.snap_path ~dir 1 in
-    let output =
-      match Run.resume_run ~io ~path () with
-      | Some (Run.Completed r, `Primary) ->
-          t.primary <- t.primary + 1;
-          Render.run_output r
-      | Some (Run.Completed r, `Fallback) ->
-          t.fallback <- t.fallback + 1;
-          Render.run_output r
-      | Some (Run.Killed_at _, _) -> assert false
-      | None -> (
-          t.scratch <- t.scratch + 1;
-          match
-            Run.run_checkpointed ~io ~scale ~seed ~checkpoint_every ~path w
-              Scheme.Hotspot
-          with
-          | Run.Completed r -> Render.run_output r
-          | Run.Killed_at _ -> assert false)
-    in
-    Spool.write_result ~io ~dir 1 output;
-    Spool.clear_snapshots ~io ~dir 1;
-    let rescan = Spool.scan ~io ~dir () in
-    if rescan.Spool.done_ids <> [ 1 ] || rescan.Spool.pending <> [] then
-      violation t "%s: job not settled after recovery" where;
-    output
-  in
-  List.iter
-    (fun (k, mode, torn) ->
-      t.points <- t.points + 1;
-      if torn then t.torn <- t.torn + 1;
-      let where = describe_point ops k mode torn in
-      let fs = Mem.create () in
-      (match run (Io.crash_at ~at:k ~torn (Mem.io fs)) with
-      | exception Io.Crashed -> ()
-      | _ -> violation t "%s: lifecycle finished without crashing" where);
-      Mem.crash mode fs;
-      let io = Mem.io fs in
-      match
-        (* A restarted daemon's recovery: remake the directory, scan. *)
-        Spool.ensure_dir ~io dir;
-        Spool.scan ~io ~dir ()
-      with
-      | exception e ->
-          violation t "%s: scan raised %s" where (Printexc.to_string e)
-      | scan -> (
-          let in_pending =
-            List.exists (fun (e : Spool.entry) -> e.Spool.id = 1) scan.pending
+  Crash.crash_points t ops run (fun k where io ->
+      (* A restarted daemon's recovery: remake the directory, scan. *)
+      Spool.ensure_dir ~io dir;
+      let scan = Spool.scan ~io ~dir () in
+      let in_pending =
+        List.exists (fun (e : Spool.entry) -> e.Spool.id = 1) scan.pending
+      in
+      let in_done = scan.Spool.done_ids = [ 1 ] in
+      if scan.Spool.failed_ids <> [] then
+        Crash.violation t "%s: job spuriously quarantined" where;
+      if in_pending && in_done then
+        Crash.violation t "%s: job duplicated (pending and done)" where;
+      match (in_done, in_pending) with
+      | true, _ -> (
+          (* Settled before the crash: the published result must be the
+             complete, uncorrupted output. *)
+          match Spool.read_result ~io ~dir 1 with
+          | Some output when output = gold -> ()
+          | Some _ -> Crash.violation t "%s: settled result corrupted" where
+          | None -> Crash.violation t "%s: result file unreadable" where)
+      | false, true ->
+          (* What a restarted daemon's worker does with a recovered pending
+             job: resume or restart it, then settle. *)
+          let output =
+            match Crash.recover ~io ~path t j with
+            | Run.Completed r -> Render.run_output r
+            | Run.Killed_at _ -> assert false
           in
-          let in_done = scan.Spool.done_ids = [ 1 ] in
-          if scan.Spool.failed_ids <> [] then
-            violation t "%s: job spuriously quarantined" where;
-          if in_pending && in_done then
-            violation t "%s: job duplicated (pending and done)" where;
-          match (in_done, in_pending) with
-          | true, _ -> (
-              (* Settled before the crash: the published result must be
-                 the complete, uncorrupted output. *)
-              match Spool.read_result ~io ~dir 1 with
-              | Some output when output = gold -> ()
-              | Some _ -> violation t "%s: settled result corrupted" where
-              | None -> violation t "%s: result file unreadable" where)
-          | false, true -> (
-              match finish_pending t io where with
-              | output ->
-                  if output <> gold then
-                    violation t
-                      "%s: recovered output differs from uninterrupted run"
-                      where
-              | exception e ->
-                  violation t "%s: recovery raised %s" where
-                    (Printexc.to_string e))
-          | false, false ->
-              (* Lost — legal only before the acknowledgement point. *)
-              if k > ack then violation t "%s: acknowledged job lost" where
-              else t.absent <- t.absent + 1))
-    (crash_plans ops);
+          Spool.write_result ~io ~dir 1 output;
+          Spool.clear_snapshots ~io ~dir 1;
+          let rescan = Spool.scan ~io ~dir () in
+          if rescan.Spool.done_ids <> [ 1 ] || rescan.Spool.pending <> [] then
+            Crash.violation t "%s: job not settled after recovery" where;
+          if output <> gold then
+            Crash.violation t
+              "%s: recovered output differs from uninterrupted run" where
+      | false, false ->
+          (* Lost — legal only before the acknowledgement point. *)
+          if k > ack then Crash.violation t "%s: acknowledged job lost" where
+          else t.absent <- t.absent + 1);
   t
-
-(* -- driver ---------------------------------------------------------- *)
 
 let run_matrix ?(workload = default_workload) ?(scale = default_scale)
     ?(checkpoint_every = default_checkpoint_every) ~seeds () =
@@ -260,70 +92,16 @@ let run_matrix ?(workload = default_workload) ?(scale = default_scale)
   in
   List.concat_map
     (fun seed ->
+      let j =
+        {
+          Crash.workload = w;
+          scheme = Scheme.Hotspot;
+          scale;
+          seed;
+          fault_rate = None;
+          checkpoint_every;
+        }
+      in
       let gold = Render.run_output (Run.run ~scale ~seed w Scheme.Hotspot) in
-      [
-        snapshot_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w;
-        spool_scenario ~scale ~checkpoint_every ~seed ~workload ~gold w;
-      ])
+      [ Crash.storage j; spool_scenario ~gold j ])
     seeds
-
-let total_points ts = List.fold_left (fun a t -> a + t.points) 0 ts
-let total_violations ts =
-  List.fold_left (fun a t -> a + List.length t.violations) 0 ts
-
-let render ts =
-  let tbl =
-    Table.create
-      ~columns:
-        [
-          ("scenario", Table.Left);
-          ("seed", Table.Right);
-          ("points", Table.Right);
-          ("torn", Table.Right);
-          ("primary", Table.Right);
-          ("fallback", Table.Right);
-          ("scratch", Table.Right);
-          ("absent", Table.Right);
-          ("violations", Table.Right);
-        ]
-  in
-  List.iter
-    (fun t ->
-      Table.add_row tbl
-        [
-          t.scenario;
-          string_of_int t.seed;
-          string_of_int t.points;
-          string_of_int t.torn;
-          string_of_int t.primary;
-          string_of_int t.fallback;
-          string_of_int t.scratch;
-          string_of_int t.absent;
-          string_of_int (List.length t.violations);
-        ])
-    ts;
-  Table.add_separator tbl;
-  Table.add_row tbl
-    [
-      "total";
-      "";
-      string_of_int (total_points ts);
-      string_of_int (List.fold_left (fun a t -> a + t.torn) 0 ts);
-      string_of_int (List.fold_left (fun a t -> a + t.primary) 0 ts);
-      string_of_int (List.fold_left (fun a t -> a + t.fallback) 0 ts);
-      string_of_int (List.fold_left (fun a t -> a + t.scratch) 0 ts);
-      string_of_int (List.fold_left (fun a t -> a + t.absent) 0 ts);
-      string_of_int (total_violations ts);
-    ];
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Table.render tbl);
-  List.iter
-    (fun t ->
-      List.iter
-        (fun v -> Buffer.add_string buf (Printf.sprintf "VIOLATION: %s\n" v))
-        (List.rev t.violations))
-    ts;
-  Buffer.add_string buf
-    (Printf.sprintf "torture: %d crash points, %d violations\n"
-       (total_points ts) (total_violations ts));
-  Buffer.contents buf

@@ -1,39 +1,20 @@
-(** Crash-point enumeration for the durability stack.
+(** Crash-point enumeration for the durability stack, per seed.
 
     Two scenarios, both on the in-memory crash-simulating filesystem
-    ({!Ace_util.Io.Mem}):
+    ({!Ace_util.Io.Mem}) and both built on {!Ace_harness.Crash}'s
+    crash-point enumeration, recovery rule and report:
 
-    - {e snapshot}: a checkpointed run's snapshot chain.  A recording
-      pass lists every mutating filesystem operation; each (operation,
-      crash-mode) pair then gets a fresh run crashed exactly there,
-      followed by real recovery ([Run.resume_run] with its [.1]-rotation
-      fallback, from-scratch restart when no generation survived).  The
-      recovered output must be byte-identical to an uninterrupted run.
+    - {e snapshot}: a checkpointed run's snapshot chain
+      ({!Ace_harness.Crash.storage}).
     - {e spool}: the full serve-job lifecycle (admit spec, checkpointed
       run, publish result, clear snapshots).  Recovery is a simulated
-      daemon restart ([Spool.ensure_dir] + [Spool.scan] + resume/rerun +
-      settle).  Invariants: a job acknowledged (spec renamed into place)
-      is never lost, never duplicated, never spuriously quarantined, and
-      its result is byte-identical to an uninterrupted run.
+      daemon restart ([Spool.ensure_dir] + [Spool.scan] +
+      {!Ace_harness.Crash.recover} + settle).  Invariants: a job
+      acknowledged (spec renamed into place) is never lost, never
+      duplicated, never spuriously quarantined, and its result is
+      byte-identical to an uninterrupted run.
 
-    Crash modes per point: [`Drop] (un-fsynced data lost), [`Keep]
-    (everything flushed), plus a torn-write variant for crash points
-    landing on a write.  Deterministic: seeds and operation order fully
-    determine the matrix. *)
-
-type tally = {
-  scenario : string;  (** "snapshot" or "spool". *)
-  seed : int;
-  mutable points : int;  (** Crash points enumerated. *)
-  mutable torn : int;  (** ...of which torn-write variants. *)
-  mutable primary : int;  (** Recoveries resuming the newest snapshot. *)
-  mutable fallback : int;  (** Recoveries falling back to the rotation. *)
-  mutable scratch : int;  (** Recoveries restarting from nothing. *)
-  mutable absent : int;
-      (** Spool points where the crash predates acknowledgement and the
-          job is legitimately gone. *)
-  mutable violations : string list;  (** Empty on a clean matrix. *)
-}
+    Deterministic: seeds and operation order fully determine the matrix. *)
 
 val run_matrix :
   ?workload:string ->
@@ -41,16 +22,10 @@ val run_matrix :
   ?checkpoint_every:int ->
   seeds:int list ->
   unit ->
-  tally list
+  Ace_harness.Crash.report list
 (** Run both scenarios for every seed (defaults: jess at scale 0.05,
     checkpointing every 2 M instructions — small enough that each crash
     point's rerun takes milliseconds, large enough that every run rotates
-    snapshots).  Purely in-memory; touches no real files.
+    snapshots).  Purely in-memory; touches no real files.  Render the
+    result with [Ace_harness.Crash.render "torture"].
     @raise Invalid_argument on an unknown [workload]. *)
-
-val total_points : tally list -> int
-val total_violations : tally list -> int
-
-val render : tally list -> string
-(** Per-scenario table, one line per violation, and a final
-    ["torture: N crash points, V violations"] summary line. *)

@@ -11,15 +11,6 @@ let remove_existing ?(io = Io.real) paths =
       with Io.Io_error _ | Sys_error _ -> ())
     paths
 
-let with_temp_snapshots ?(prefix = "ace_snap") ?(also = fun _ -> []) n f =
-  let paths = List.init n (fun _ -> Filename.temp_file prefix ".snap") in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun p -> remove_existing (snapshot_family p @ also p))
-        paths)
-    (fun () -> f paths)
-
 (* Mirrors [Filename.temp_file]'s scheme: a self-seeded private PRNG and a
    retry loop drawing names until [mkdir] succeeds, so concurrent
    allocators never share a directory. *)

@@ -1,11 +1,9 @@
 (** Cleanup guards for scratch files and directories.
 
-    Snapshot files come in families ([path], the rotated [path.1], the
-    in-flight [path.tmp], and the soak harness's [path.baseline] variants);
-    anything that allocates such paths with [Filename.temp_file] must remove
-    the whole family on every exit path or leak snapshots into [$TMPDIR].
-    These combinators centralize that discipline; the soak experiment and
-    the serve daemon's spool both use them. *)
+    Snapshot files come in families ([path], the rotated [path.1] and the
+    in-flight [path.tmp]); anything that owns such a path must remove the
+    whole family or leak snapshots.  These combinators centralize that
+    discipline; the serve daemon's spool uses them. *)
 
 val snapshot_family : string -> string list
 (** Every file [Ace_ckpt.Snapshot.write] can leave behind for [path]:
@@ -15,16 +13,6 @@ val remove_existing : ?io:Io.t -> string list -> unit
 (** Remove each listed file that exists; removal errors (e.g. a path
     deleted concurrently, or a transient {!Io.Io_error}) are ignored
     per-path — one failing unlink never abandons the rest of the list. *)
-
-val with_temp_snapshots :
-  ?prefix:string -> ?also:(string -> string list) -> int -> (string list -> 'a) -> 'a
-(** [with_temp_snapshots n f] allocates [n] fresh temp snapshot paths,
-    runs [f paths], and removes every path's {!snapshot_family} whether [f]
-    returns or raises.  [also] names extra per-path families to guard
-    (e.g. [fun p -> snapshot_family (p ^ ".baseline")] for the soak
-    harness's uninterrupted-baseline snapshots).  Paths are allocated
-    sequentially on the calling domain ([Filename.temp_file] draws from a
-    process-global PRNG), so [f] may fan them out across a pool. *)
 
 val with_temp_dir : ?io:Io.t -> ?prefix:string -> (string -> 'a) -> 'a
 (** [with_temp_dir f] creates a fresh private directory under the temp dir,

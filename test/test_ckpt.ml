@@ -1,6 +1,6 @@
 module Snapshot = Ace_ckpt.Snapshot
 module Run = Ace_harness.Run
-module Soak = Ace_harness.Soak
+module Crash = Ace_harness.Crash
 module Scheme = Ace_harness.Scheme
 
 let compress () = Option.get (Ace_workloads.Specjvm.find "compress")
@@ -10,7 +10,7 @@ let tmp_path () = Filename.temp_file "ace_ckpt_test" ".snap"
 let cleanup path =
   List.iter
     (fun p -> if Sys.file_exists p then Sys.remove p)
-    [ path; path ^ ".1"; path ^ ".tmp"; path ^ ".baseline"; path ^ ".baseline.1" ]
+    [ path; path ^ ".1"; path ^ ".tmp" ]
 
 (* Real snapshots from a small checkpointed run — the codec tests exercise
    the exact states production runs produce, not hand-built toys. *)
@@ -311,17 +311,23 @@ let test_checkpoint_every_validated () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "accepted checkpoint_every = 0"
 
+let job ?fault_rate ~checkpoint_every scheme =
+  {
+    Crash.workload = compress ();
+    scheme;
+    scale = 0.2;
+    seed = 3;
+    fault_rate;
+    checkpoint_every;
+  }
+
 let run_oracle ?fault_rate scheme =
-  let path = tmp_path () in
-  let r =
-    Soak.determinism_oracle ~scale:0.2 ~seed:3 ?fault_rate
-      ~checkpoint_every:2_000_000 ~path (compress ()) scheme
-  in
-  cleanup path;
-  Alcotest.(check bool) "several checkpoints" true (r.Soak.checkpoints >= 2);
-  if not (Soak.oracle_passed r) then
-    Alcotest.failf "%d of %d replays diverged" r.Soak.replay_mismatches
-      r.Soak.checkpoints
+  let r = Crash.replay (job ?fault_rate ~checkpoint_every:2_000_000 scheme) in
+  Alcotest.(check bool) "several checkpoints" true (r.Crash.points >= 2);
+  if r.Crash.violations <> [] then
+    Alcotest.failf "%d of %d replays diverged"
+      (List.length r.Crash.violations)
+      r.Crash.points
 
 let test_oracle_baseline () = run_oracle Scheme.Fixed_baseline
 let test_oracle_hotspot () = run_oracle Scheme.Hotspot
@@ -329,17 +335,15 @@ let test_oracle_bbv () = run_oracle Scheme.Bbv
 let test_oracle_hotspot_faulty () = run_oracle ~fault_rate:0.02 Scheme.Hotspot
 
 let test_chaos_soak () =
-  let path = tmp_path () in
   let r =
-    Soak.chaos_soak ~scale:0.2 ~seed:3 ~fault_rate:0.01 ~cycles:25
-      ~checkpoint_every:500_000 ~path (compress ()) Scheme.Hotspot
+    Crash.kill ~cycles:25
+      (job ~fault_rate:0.01 ~checkpoint_every:500_000 Scheme.Hotspot)
   in
-  cleanup path;
-  if not r.Soak.matched then
+  if r.Crash.violations <> [] then
     Alcotest.fail "soak survivor's table differs from uninterrupted baseline";
   Alcotest.(check bool)
-    (Printf.sprintf "at least 20 kill/resume cycles (got %d)" r.Soak.kills)
-    true (r.Soak.kills >= 20)
+    (Printf.sprintf "at least 20 kill/resume cycles (got %d)" r.Crash.points)
+    true (r.Crash.points >= 20)
 
 let suite =
   [

@@ -289,6 +289,23 @@ let test_resume_metrics_identity () =
   check_contains "restore visible in trace" (Export.chrome obs_resumed)
     "ckpt_restore"
 
+let test_capture_allocation () =
+  (* Capture copies the retained ring into the state's array directly; an
+     intermediate list would cost about 3 minor words per event on every
+     snapshot. *)
+  let n = 10_000 in
+  let obs = Obs.create ~capacity:n Obs.Full in
+  for i = 1 to n do
+    Obs.record obs (Obs.Recompile { id = i })
+  done;
+  let before = Gc.minor_words () in
+  let s = Obs.capture obs in
+  let delta = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity s);
+  let per_event = delta /. float_of_int n in
+  if per_event >= 0.5 then
+    Alcotest.failf "capture allocated %.2f minor words per event" per_event
+
 let suite =
   [
     Tu.case "ring is bounded and counts drops" test_ring_bounded;
@@ -303,4 +320,6 @@ let suite =
     Tu.case "capture/restore roundtrip" test_capture_restore_roundtrip;
     Tu.slow_case "kill/resume metrics identity + seamless timeline"
       test_resume_metrics_identity;
+    Tu.case "capture allocates under 0.5 minor words per event"
+      test_capture_allocation;
   ]

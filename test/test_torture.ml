@@ -13,6 +13,7 @@ module Faults = Ace_faults.Faults
 module Spool = Ace_serve.Spool
 module Protocol = Ace_serve.Protocol
 module Torture = Ace_serve.Torture
+module Crash = Ace_harness.Crash
 
 (* ------------------------------------------------------------------ *)
 (* Mem backend crash semantics                                         *)
@@ -278,27 +279,42 @@ let prop_scratch_with_temp_dir_cleanup =
 (* The torture matrix itself                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* The seed-1 matrix, pinned byte for byte: every count per recovery class
+   is part of the harness's behaviour, not only the violation total. *)
+let pinned_matrix =
+  "+----------+------+--------+------+---------+----------+---------+--------+------------+\n" ^
+  "| scenario | seed | points | torn | primary | fallback | scratch | absent | violations |\n" ^
+  "+----------+------+--------+------+---------+----------+---------+--------+------------+\n" ^
+  "| snapshot |    1 |     25 |    3 |      14 |        4 |       7 |      0 |          0 |\n" ^
+  "| spool    |    1 |     45 |    5 |      21 |        4 |       7 |      9 |          0 |\n" ^
+  "+----------+------+--------+------+---------+----------+---------+--------+------------+\n" ^
+  "| total    |      |     70 |    8 |      35 |        8 |      14 |      9 |          0 |\n" ^
+  "+----------+------+--------+------+---------+----------+---------+--------+------------+\n" ^
+  "torture: 70 crash points, 0 violations\n"
+
 let test_torture_matrix_is_clean () =
   let tallies = Torture.run_matrix ~seeds:[ 1 ] () in
+  Alcotest.(check string) "pinned matrix" pinned_matrix
+    (Crash.render "torture" tallies);
   List.iter
-    (fun (t : Torture.tally) ->
-      List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) (List.rev t.Torture.violations))
+    (fun (t : Crash.report) ->
+      List.iter (fun v -> Printf.eprintf "VIOLATION: %s\n" v) (List.rev t.violations))
     tallies;
-  Alcotest.(check int) "zero violations" 0 (Torture.total_violations tallies);
+  Alcotest.(check int) "zero violations" 0 (Crash.total_violations tallies);
   Alcotest.(check bool) "both scenarios enumerated" true
     (List.length tallies = 2);
   Alcotest.(check bool) "a substantive matrix" true
-    (Torture.total_points tallies >= 50);
+    (Crash.total_points tallies >= 50);
   (* Every recovery class must actually occur: points that resume the
      newest snapshot, points that exercise the .1 rotation, and points
      where only a scratch restart remains. *)
   let sum f = List.fold_left (fun a t -> a + f t) 0 tallies in
   Alcotest.(check bool) "primary resumes seen" true
-    (sum (fun t -> t.Torture.primary) > 0);
+    (sum (fun t -> t.Crash.primary) > 0);
   Alcotest.(check bool) "rotation fallbacks seen" true
-    (sum (fun t -> t.Torture.fallback) > 0);
+    (sum (fun t -> t.Crash.fallback) > 0);
   Alcotest.(check bool) "scratch restarts seen" true
-    (sum (fun t -> t.Torture.scratch) > 0)
+    (sum (fun t -> t.Crash.scratch) > 0)
 
 let suite =
   [
